@@ -7,8 +7,8 @@ from .inequality import (MCReport, ScanReport, TruncationLevels, K_fourier,
                          K_sigma, XSigmaSampler, autocorrelation_A,
                          check_poly_min_criterion, lemb_moment_bound, mc_check,
                          mm_bound, orthogonalization_scan, poly_approx_V,
-                         sample_X_sigma, scan_for_zero, scan_inequality,
-                         truncation_levels, verify_tail_bound)
+                         scan_for_zero, scan_inequality, truncation_levels,
+                         verify_tail_bound)
 from .modulus import (ConstantsReport, PowerSeriesCoeffs, F_sigma, S_T_constants,
                       W_sigma, a_coeff, c_coeff, calG, calH, calH_derivs_at_0,
                       constants, modulus_rhs, modulus_rhs_via_J,

@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .config import DEFAULT_CONFIG, EvalConfig, config_from_mapping, parse_config_text
@@ -123,13 +122,6 @@ def _floats(text: str) -> list:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))   # deterministic submission order
-
-
 def _status_exit(status: str) -> int:
     return {"pass": _EXIT_PASS, "fail": _EXIT_FAIL}.get(status, _EXIT_NUMERIC)
 
@@ -184,8 +176,7 @@ def cmd_verify_modulus(args, cfg: EvalConfig) -> int:
     sigmas = _floats(args.sigma)
     ts = _floats(args.t_list)
 
-    def one(cell):
-        sigma, t = cell
+    def one(sigma, t):
         oracle = xi_mod_sq(sigma, t, cfg)
         scale = max(xi_real(sigma, cfg) ** 2, oracle)
         rep = modulus_rhs(sigma, t, cfg)
@@ -197,8 +188,7 @@ def cmd_verify_modulus(args, cfg: EvalConfig) -> int:
             "rel_err_J": abs(j_route - oracle) / scale,
         }
 
-    cells = [(sigma, t) for sigma in sigmas for t in ts]
-    rows = _parallel_map(one, cells, args.threads)
+    rows = [one(sigma, t) for sigma in sigmas for t in ts]
     worst = max(row["rel_err"] for row in rows)
     worst_j = max(row["rel_err_J"] for row in rows)
     status = "pass" if (worst <= 1e-6 and worst_j <= 1e-5) else "fail"
@@ -296,8 +286,7 @@ def cmd_autocorr(args, cfg: EvalConfig) -> int:
     sigma = _floats(args.sigma)[0]
     n = int(math.floor(args.t_max / args.step + 1e-9))
     grid = [k * args.step for k in range(n + 1)]
-    values = _parallel_map(lambda t: autocorrelation_A(sigma, t, cfg), grid,
-                           args.threads)
+    values = [autocorrelation_A(sigma, t, cfg) for t in grid]
     rows = [{"sigma": sigma, "t": t, "A": v} for t, v in zip(grid, values)]
     scan = orthogonalization_scan(sigma, args.t_max, args.step, cfg)
     a0_ok = abs(values[0] - 1.0) <= 1e-12
@@ -392,23 +381,16 @@ def cmd_selftest(args, cfg: EvalConfig) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, **defaults):
-    sub.add_argument("--sigma", default=defaults.get("sigma", "0.75"),
-                     help="sigma value or comma list")
-    sub.add_argument("--tau", type=float, default=None, help="tau (= sigma - 1/2)")
-    sub.add_argument("--t-max", dest="t_max", type=float,
-                     default=defaults.get("t_max", 20.0))
-    sub.add_argument("--step", type=float, default=defaults.get("step", 0.25))
-    sub.add_argument("--method", default=defaults.get("method", "all"),
-                     choices=["A_direct", "B_series", "C_inversion", "all"])
-    sub.add_argument("--seed", type=int, default=12345)
-    sub.add_argument("--samples", type=int, default=100_000)
+def _subcommand(subs, name: str, help_text: str, sigma: str | None = None):
+    """A subparser with the report flags every subcommand reads, plus --sigma
+    (with this default) for the subcommands that read it."""
+    sub = subs.add_parser(name, help=help_text)
+    if sigma is not None:
+        sub.add_argument("--sigma", default=sigma, help="sigma value or comma list")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", default="json", choices=["csv", "json"])
     sub.add_argument("--config", default=None, help="flat key=value config file")
-    sub.add_argument("--paper-truncation", dest="paper_truncation", default=None,
-                     choices=["B", "C"], help="use a published fixed-truncation recipe")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    return sub
 
 
 def build_parser() -> _Parser:
@@ -417,26 +399,32 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("constants", help="S/T constants per method"))
-    p = subs.add_parser("verify-modulus", help="representation vs oracle")
-    _add_common(p, sigma="0.6,0.75")
+    p = _subcommand(subs, "constants", "S/T constants per method", sigma="0.75")
+    p.add_argument("--method", default="all",
+                   choices=["A_direct", "B_series", "C_inversion", "all"])
+    p.add_argument("--paper-truncation", dest="paper_truncation", default=None,
+                   choices=["B", "C"], help="use a published fixed-truncation recipe")
+    p = _subcommand(subs, "verify-modulus", "representation vs oracle",
+                    sigma="0.6,0.75")
     p.add_argument("--t-list", dest="t_list", default="0,1,5,10")
-    p = subs.add_parser("scan", help="positivity scan")
-    _add_common(p)
+    p = _subcommand(subs, "scan", "positivity scan", sigma="0.75")
+    p.add_argument("--t-max", dest="t_max", type=float, default=20.0)
+    p.add_argument("--step", type=float, default=0.25)
     p.add_argument("--route", default="representation",
                    choices=["representation", "J_eta"])
-    p = subs.add_parser("coeffs", help="power-series coefficients")
-    _add_common(p)
+    p = _subcommand(subs, "coeffs", "power-series coefficients", sigma="0.75")
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--t-check", dest="t_check", type=float, default=1.0)
-    p = subs.add_parser("montecarlo", help="expectation inequality, sampled")
-    _add_common(p)
+    p = _subcommand(subs, "montecarlo", "expectation inequality, sampled",
+                    sigma="0.75")
     p.add_argument("--t-list", dest="t_list", default="1,5,10")
-    _add_common(subs.add_parser("autocorr", help="autocorrelation + zero scan"),
-                t_max=30.0, step=0.5)
-    _add_common(subs.add_parser("reproduce-appendix",
-                                help="published fixed-truncation constants"))
-    _add_common(subs.add_parser("selftest", help="reduced invariant suite"))
+    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=12345)
+    p = _subcommand(subs, "autocorr", "autocorrelation + zero scan", sigma="0.75")
+    p.add_argument("--t-max", dest="t_max", type=float, default=30.0)
+    p.add_argument("--step", type=float, default=0.5)
+    _subcommand(subs, "reproduce-appendix", "published fixed-truncation constants")
+    _subcommand(subs, "selftest", "reduced invariant suite")
     return parser
 
 

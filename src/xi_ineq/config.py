@@ -15,10 +15,6 @@ class EvalConfig:
     quad_rel_tol        relative target for adaptive quadrature
     quad_abs_tol        absolute target for adaptive quadrature
     quad_max_depth      bisection depth cap per panel
-    upper_cutoff_policy name of the rule mapping a decay rate to a finite
-                        truncation point; "tail_below_tol" truncates where the
-                        supplied exponential bound pushes the tail integral
-                        below quad_abs_tol/10
     """
 
     series_tol: float = 1e-14
@@ -26,7 +22,6 @@ class EvalConfig:
     quad_rel_tol: float = 1e-11
     quad_abs_tol: float = 1e-13
     quad_max_depth: int = 48
-    upper_cutoff_policy: str = "tail_below_tol"
 
     def __post_init__(self):
         for name in ("series_tol", "quad_rel_tol", "quad_abs_tol"):
@@ -35,8 +30,6 @@ class EvalConfig:
         for name in ("series_max_terms", "quad_max_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.upper_cutoff_policy != "tail_below_tol":
-            raise ValueError(f"unknown upper_cutoff_policy {self.upper_cutoff_policy!r}")
 
     def truncation_point(self, decay_rate: float, scale: float = 1.0) -> float:
         """Smallest X with scale*exp(-decay_rate*X)/decay_rate <= quad_abs_tol/10.
@@ -50,14 +43,6 @@ class EvalConfig:
         x = math.log(max(scale, target) / (decay_rate * target)) / decay_rate
         return max(x, 0.0)
 
-    def tightened(self, factor: float = 100.0) -> "EvalConfig":
-        """A copy with quadrature tolerances tightened by `factor`."""
-        return replace(
-            self,
-            quad_rel_tol=max(self.quad_rel_tol / factor, 1e-15),
-            quad_abs_tol=max(self.quad_abs_tol / factor, 1e-16),
-        )
-
 
 DEFAULT_CONFIG = EvalConfig()
 
@@ -68,7 +53,6 @@ _FIELD_TYPES = {
     "quad_rel_tol": float,
     "quad_abs_tol": float,
     "quad_max_depth": int,
-    "upper_cutoff_policy": str,
 }
 
 

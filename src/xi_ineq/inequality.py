@@ -128,22 +128,29 @@ def scan_inequality(sigma: float, t_max: float, step: float,
 # ---------------------------------------------------------------------------
 
 _MOMENT_CAP = 200   # (2n)! growth makes terms vanish far below this in practice
+_W_CUT = 2.4        # W's support cut: the mass of W e^{-sigma x} beyond is < 1e-25
 
 
 @lru_cache(maxsize=32)
-def _w_exp_table(sigma: float, x_hi: float, cfg: EvalConfig = DEFAULT_CONFIG):
-    """Pchip table of g(x) = W_sigma(x) e^{-sigma x} on [0, x_hi] (cheap evals
-    for the moment integrals; certified against the direct form)."""
-    xs = np.concatenate([[0.0], np.geomspace(1e-4, x_hi, 1023)])
-    g = np.array([W_sigma(sigma, float(x), "closed", cfg) * math.exp(-sigma * x)
-                  for x in xs])
-    interp = PchipInterpolator(xs, g, extrapolate=False)
+def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> PchipInterpolator:
+    """Monotone-cubic (Pchip) table of W_sigma on [0, _W_CUT], the one W table
+    per sigma behind the moment integrals and the sampler.
+
+    Nodes are 0 and 1023 log-spaced points from 1e-4.  The table is certified
+    against the closed form to 1e-8 absolute at every 64th node midpoint and
+    at 41 evenly spaced probes.  Pchip never leaves the range of its data on
+    any interval, so the largest node value bounds the table everywhere.
+    """
+    xs = np.concatenate([[0.0], np.geomspace(1e-4, _W_CUT, 1023)])
+    ws = np.array([W_sigma(sigma, float(x), "closed", cfg) for x in xs])
+    table = PchipInterpolator(xs, ws, extrapolate=False)
     mids = 0.5 * (xs[1:] + xs[:-1])
-    worst = max(abs(float(interp(m)) - W_sigma(sigma, float(m), "closed", cfg)
-                    * math.exp(-sigma * m)) for m in mids[:: 64])
+    probes = np.concatenate([mids[::64], np.linspace(1.7e-3, _W_CUT - 1e-3, 41)])
+    worst = max(abs(float(table(m)) - W_sigma(sigma, float(m), "closed", cfg))
+                for m in probes)
     if worst > 1e-8:
-        raise RuntimeError(f"moment table certification failed: err {worst:.2e}")
-    return interp
+        raise RuntimeError(f"W table certification failed: err {worst:.2e}")
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -154,12 +161,11 @@ def _scaled_moments(sigma: float, N1: int, n_hi: int,
     The 1/(2n)! is folded into the integrand via exp-lgamma so nothing
     overflows; entries whose crude bound is below 1e-30 are skipped as 0.
     """
-    x_hi = min(float(N1), 3.0)   # W's support; beyond it the integrand is 0
-    table = _w_exp_table(sigma, 3.0, cfg)
+    x_hi = min(float(N1), _W_CUT)   # beyond the cut the integrand is below 1e-25
+    table = _w_table(sigma, cfg)
 
     def g(x):
-        v = table(x)
-        return float(v) if np.isfinite(v) else 0.0
+        return float(table(x)) * math.exp(-sigma * x)
 
     out = []
     for n in range(n_hi + 1):
@@ -293,19 +299,18 @@ class XSigmaSampler:
     on x >= 0.
 
     Proposal: Exponential(sigma).  Acceptance: u < W_sigma(x) / (2 C^2), valid
-    because W_sigma < 2 C^2 uniformly.  W is read from a monotone-cubic table
-    (4096 log-spaced nodes) certified against the closed form to 1e-8 absolute;
-    the hot loop uses a dense uniform linear resample of that table (certified
-    jointly) because the envelope 2 C^2 sits ~500x above W's peak, so a million
-    draws cost billions of proposals.  The bit generator is Philox
-    (counter-based) keyed by the seed, every proposal consumes exactly two
-    uniforms, and chunk sizes are fixed, so the accepted stream depends only on
-    the seed and sample(m) is a prefix of sample(n) for m < n.
+    because W_sigma < 2 C^2 uniformly.  W is read from the shared per-sigma
+    Pchip table `_w_table` (certified against the closed form to 1e-8
+    absolute).  The envelope 2 C^2 sits ~500x above W's peak, so a million
+    draws cost billions of proposals; proposals whose u clears the largest
+    node value over the envelope are rejected without touching x or the
+    table, which is exact because Pchip never overshoots its node values.
+    The bit generator is Philox (counter-based) keyed by the seed, every
+    proposal consumes exactly two uniforms, and chunk sizes are fixed, so the
+    accepted stream depends only on the seed and sample(m) is a prefix of
+    sample(n) for m < n.
     """
 
-    _X_CUT = 2.4    # density support: mass of rho beyond is < 1e-25
-    _NODES = 4096
-    _DENSE = 1 << 16
     _CHUNK = 1 << 23
 
     def __init__(self, sigma: float, cfg: EvalConfig = DEFAULT_CONFIG):
@@ -314,39 +319,27 @@ class XSigmaSampler:
         self.sigma = sigma
         self.cfg = cfg
         self.envelope = 2.0 * sup_constant_C(cfg) ** 2
-        xs = np.concatenate([[0.0], np.geomspace(1e-4, self._X_CUT, self._NODES - 1)])
-        ws = np.array([W_sigma(sigma, float(x), "closed", cfg) for x in xs])
+        self._w = _w_table(sigma, cfg)
+        xs = self._w.x
+        ws = self._w(xs)
         if np.any(ws >= self.envelope):
             raise RuntimeError("envelope 2C^2 violated by the W table")
-        self._w = PchipInterpolator(xs, ws, extrapolate=False)
-        self._dense_h = self._X_CUT / (self._DENSE - 1)
-        dense_x = np.linspace(0.0, self._X_CUT, self._DENSE)
-        self._dense_w = np.ascontiguousarray(self._w(dense_x))
-        # exact superset of acceptance: u2 < w(x)/envelope <= wmax/envelope,
+        # exact superset of acceptance: u2 < w(x)/envelope <= max(ws)/envelope,
         # so proposals failing this never need x or the table at all
-        self._accept_ceiling = float(self._dense_w.max()) / self.envelope
-        probe = np.linspace(1.7e-3, self._X_CUT - 1e-3, 41)
-        worst = max(abs(float(self.w_table(np.array([m]))[0])
-                        - W_sigma(sigma, float(m), "closed", cfg)) for m in probe)
-        if worst > 1e-8:
-            raise RuntimeError(f"W table certification failed: err {worst:.2e}")
+        self._accept_ceiling = float(ws.max()) / self.envelope
         dens = PchipInterpolator(xs, ws * np.exp(-sigma * xs), extrapolate=False)
         cum = dens.antiderivative()
-        self._norm = float(cum(self._X_CUT))
+        self._norm = float(cum(_W_CUT))
         self._cum = cum
 
     def w_table(self, x: np.ndarray) -> np.ndarray:
         """Tabulated W at arbitrary x >= 0 (0 beyond the support cut)."""
-        pos = np.clip(x / self._dense_h, 0.0, self._DENSE - 1.001)
-        idx = pos.astype(np.int64)
-        frac = pos - idx
-        v = self._dense_w[idx] * (1.0 - frac) + self._dense_w[idx + 1] * frac
-        return np.where(x >= self._X_CUT, 0.0, v)
+        return np.where(x >= _W_CUT, 0.0, self._w(x))
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        v = self._cum(np.clip(x, 0.0, self._X_CUT)) / self._norm
-        return np.where(x >= self._X_CUT, 1.0, np.where(x < 0.0, 0.0, v))
+        v = self._cum(np.clip(x, 0.0, _W_CUT)) / self._norm
+        return np.where(x >= _W_CUT, 1.0, np.where(x < 0.0, 0.0, v))
 
     def sample_indexed(self, n: int, seed: int):
         """n draws plus each draw's global proposal index (for exact rates)."""
@@ -380,32 +373,23 @@ def _sampler(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> XSigmaSampler:
     return XSigmaSampler(sigma, cfg)
 
 
-_draw_cache: dict = {}
+_draw_cache: dict = {}   # at most one entry: the most recent (sigma, seed, cfg)
 
 
 def _cached_draw(sigma: float, n: int, seed: int, cfg: EvalConfig):
     """Reuse draws across calls: sample(m) is a prefix of sample(n>m) for one
-    seed, so the largest draw per (sigma, seed) serves every smaller request.
-    Acceptance rates are recovered from stored proposal indices, keeping any
-    prefix byte-identical to a fresh run at that size."""
+    seed, so the largest draw for the most recent (sigma, seed, cfg) serves
+    every smaller request.  Acceptance rates are recovered from stored
+    proposal indices, keeping any prefix byte-identical to a fresh run at that
+    size.  Only one key is kept, because 1M draws hold 16 MB."""
     key = (sigma, seed, cfg)
     hit = _draw_cache.get(key)
     if hit is None or hit[0].size < n:
         hit = _sampler(sigma, cfg).sample_indexed(n, seed)
+        _draw_cache.clear()
         _draw_cache[key] = hit
     xs, idx = hit
     return xs[:n], n / float(idx[n - 1] + 1)
-
-
-def sample_X_sigma(sigma: float, rng: np.random.Generator,
-                   cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """One draw of X_sigma ~ rho_sigma using a caller-provided generator."""
-    sampler = _sampler(sigma, cfg)
-    while True:
-        u = rng.random(2)
-        x = -math.log1p(-u[0]) / sigma
-        if u[1] * sampler.envelope < float(sampler.w_table(np.array([x]))[0]):
-            return x
 
 
 def mm_bound(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:

@@ -7,6 +7,7 @@ import pytest
 
 from xi_ineq.cli import main, render_json
 from xi_ineq.config import config_from_mapping, parse_config_text
+from xi_ineq.modulus import constants
 
 
 def run_cli(capsys, *argv):
@@ -146,8 +147,16 @@ class TestCommands:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["command"] == "constants"
 
-    def test_threads_do_not_change_results(self, capsys):
-        base = ["verify-modulus", "--sigma", "0.75", "--t-list", "0,5"]
-        _, one = run_cli(capsys, *base, "--threads", "1")
-        _, four = run_cli(capsys, *base, "--threads", "4")
-        assert strip_timestamp(one) == strip_timestamp(four)
+    @pytest.mark.parametrize("argv", [["constants", "--seed", "1"],
+                                      ["selftest", "--sigma", "0.7"]])
+    def test_flag_a_subcommand_does_not_read_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+
+    def test_autocorr_computes_constants_once(self, capsys):
+        constants.cache_clear()
+        code, _ = run_cli(capsys, "autocorr", "--sigma", "0.75", "--t-max", "2",
+                          "--step", "0.5")
+        assert code == 0
+        assert constants.cache_info().misses == 1

@@ -5,11 +5,12 @@ import pytest
 from scipy.stats import kstest
 
 from xi_ineq.errors import DomainError
-from xi_ineq.inequality import (XSigmaSampler, autocorrelation_A, bisect_zero,
+from xi_ineq.inequality import (_W_CUT, XSigmaSampler, _scaled_moments,
+                                _w_table, autocorrelation_A, bisect_zero,
                                 check_poly_min_criterion, K_fourier, K_sigma,
                                 lemb_moment_bound, mc_check, mm_bound,
                                 orthogonalization_scan, poly_approx_V,
-                                sample_X_sigma, scan_for_zero, scan_inequality,
+                                scan_for_zero, scan_inequality,
                                 truncation_levels, verify_tail_bound)
 from xi_ineq.modulus import constants, w_cos_transform
 from xi_ineq.quadrature import integrate_finite
@@ -130,7 +131,7 @@ class TestSampler:
         z = w_cos_transform(0.75, 0.0, cfg)
         mean_q = integrate_finite(
             lambda x: x * float(s.w_table(np.array([x]))[0]) * math.exp(-0.75 * x),
-            0.0, s._X_CUT, cfg).value / z
+            0.0, _W_CUT, cfg).value / z
         se = xs.std(ddof=1) / math.sqrt(xs.size)
         assert abs(xs.mean() - mean_q) <= 4.0 * se
 
@@ -139,10 +140,19 @@ class TestSampler:
         xs, _ = s.sample(30_000, seed=5)
         assert kstest(xs, s.cdf).pvalue > 0.01
 
-    def test_single_draw_surface(self, cfg):
-        rng = np.random.Generator(np.random.Philox(key=9))
-        x = sample_X_sigma(0.75, rng, cfg)
-        assert x >= 0.0
+    def test_one_w_table_for_sampler_and_moments(self, cfg):
+        _w_table.cache_clear()
+        _scaled_moments.cache_clear()
+        XSigmaSampler(0.75, cfg)
+        poly_approx_V(0.75, 8, 16, 0.5, cfg)
+        assert _w_table.cache_info().misses == 1
+
+    def test_table_never_exceeds_accept_ceiling(self, cfg):
+        # rejecting u2 >= ceiling without reading W is exact only if the
+        # table stays below the ceiling between its nodes too
+        s = XSigmaSampler(0.75, cfg)
+        grid = np.linspace(0.0, _W_CUT, 20_000)
+        assert np.all(s.w_table(grid) <= s._accept_ceiling * s.envelope)
 
     def test_domain(self, cfg):
         with pytest.raises(DomainError):

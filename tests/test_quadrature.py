@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -32,7 +33,9 @@ class TestFinite:
     def test_tightening_stays_within_err_est(self, cfg):
         f = lambda x: math.cos(3.0 * x) * math.exp(-x)
         base = integrate_finite(f, 0.0, 4.0, cfg)
-        tight = integrate_finite(f, 0.0, 4.0, cfg.tightened())
+        tight_cfg = replace(cfg, quad_rel_tol=cfg.quad_rel_tol / 100.0,
+                            quad_abs_tol=cfg.quad_abs_tol / 100.0)
+        tight = integrate_finite(f, 0.0, 4.0, tight_cfg)
         deeper = integrate_finite(f, 0.0, 4.0,
                                   EvalConfig(quad_max_depth=2 * cfg.quad_max_depth))
         assert abs(base.value - tight.value) <= base.err_est + tight.err_est
@@ -145,6 +148,4 @@ def test_config_validation():
         EvalConfig(series_tol=0.0)
     with pytest.raises(ValueError):
         EvalConfig(quad_max_depth=0)
-    with pytest.raises(ValueError):
-        EvalConfig(upper_cutoff_policy="nope")
     assert EvalConfig().truncation_point(1.0) > 0.0
