@@ -256,29 +256,44 @@ def cmd_coeffs(args, cfg: EvalConfig) -> int:
 
 
 def cmd_montecarlo(args, cfg: EvalConfig) -> int:
+    """As in `scan`, a row is `violated` only when the estimate lies more than
+    4 standard errors below the bound, `holds` when it lies more than 4 se
+    above it, and `indeterminate` in between."""
     sigma = _floats(args.sigma)[0]
     rows = []
-    ok = True
     for t in _floats(args.t_list):
         rep = mc_check(sigma, t, args.samples, args.seed, cfg)
         bound = mm_bound(sigma, t, cfg)
         within = abs(rep.estimate - rep.deterministic_value) <= 4.0 * max(rep.std_error, 1e-12)
-        holds = rep.estimate > bound
-        ok &= within and holds
+        margin = 4.0 * rep.std_error
+        if rep.estimate - margin > bound:
+            verdict = "holds"
+        elif rep.estimate + margin < bound:
+            verdict = "violated"
+        else:
+            verdict = "indeterminate"
         rows.append({
             "sigma": sigma, "t": t, "estimate": rep.estimate,
             "std_error": rep.std_error, "deterministic": rep.deterministic_value,
-            "bound_rhs": bound, "within_4se": within, "inequality_holds": holds,
+            "bound_rhs": bound, "within_4se": within,
+            "inequality_holds": rep.estimate > bound, "verdict": verdict,
             "acceptance_rate": rep.acceptance_rate, "seed": rep.seed,
             "n_samples": rep.n_samples,
         })
-    status = "pass" if ok else "fail"
+    verdicts = {row["verdict"] for row in rows}
+    if "violated" in verdicts or not all(row["within_4se"] for row in rows):
+        status = "fail"
+    elif "indeterminate" in verdicts:
+        status = "indeterminate"
+    else:
+        status = "pass"
     report = _report("montecarlo", {"sigma": sigma, "t": _floats(args.t_list),
                                     "samples": args.samples, "seed": args.seed},
                      {"rows": rows}, status)
     _emit(args, report, rows,
           ["sigma", "t", "estimate", "std_error", "deterministic", "bound_rhs",
-           "within_4se", "inequality_holds", "acceptance_rate", "seed", "n_samples"])
+           "within_4se", "inequality_holds", "verdict", "acceptance_rate", "seed",
+           "n_samples"])
     return _status_exit(status)
 
 

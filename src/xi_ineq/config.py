@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, replace
 
@@ -45,6 +47,35 @@ class EvalConfig:
 
 
 DEFAULT_CONFIG = EvalConfig()
+
+
+def config_cache(maxsize: int):
+    """lru_cache whose key does not depend on how the arguments were passed.
+
+    functools.lru_cache keys on the call form, so f(0.75),
+    f(0.75, DEFAULT_CONFIG) and f(0.75, cfg=DEFAULT_CONFIG) would be three
+    entries computing one value.  Here every call is bound to the full
+    positional argument tuple, defaults filled in, before the lookup.
+    `cache_info` and `cache_clear` are those of the underlying lru_cache.
+    """
+    def decorate(fn):
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+        signature = inspect.signature(fn)
+        n_params = len(signature.parameters)
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if not kwargs and len(args) == n_params:
+                return cached(*args)
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return cached(*bound.args)
+
+        wrapper.cache_info = cached.cache_info
+        wrapper.cache_clear = cached.cache_clear
+        return wrapper
+    return decorate
+
 
 # keys accepted in a flat "key = value" config file, mapped to field types
 _FIELD_TYPES = {

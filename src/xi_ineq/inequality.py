@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .config import DEFAULT_CONFIG, EvalConfig
+from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import DomainError
 from .modulus import (calH, constants, modulus_rhs_via_J, w_cos_transform,
                       W_sigma)
@@ -131,7 +130,7 @@ _MOMENT_CAP = 200   # (2n)! growth makes terms vanish far below this in practice
 _W_CUT = 2.4        # W's support cut: the mass of W e^{-sigma x} beyond is < 1e-25
 
 
-@lru_cache(maxsize=32)
+@config_cache(maxsize=32)
 def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> PchipInterpolator:
     """Monotone-cubic (Pchip) table of W_sigma on [0, _W_CUT], the one W table
     per sigma behind the moment integrals and the sampler.
@@ -153,7 +152,7 @@ def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> PchipInterpolato
     return table
 
 
-@lru_cache(maxsize=64)
+@config_cache(maxsize=64)
 def _scaled_moments(sigma: float, N1: int, n_hi: int,
                     cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
     """mu_n = int_0^N1 W e^{-sigma x} x^{2n}/(2n)! dx for n = 0..n_hi.
@@ -302,16 +301,22 @@ class XSigmaSampler:
     because W_sigma < 2 C^2 uniformly.  W is read from the shared per-sigma
     Pchip table `_w_table` (certified against the closed form to 1e-8
     absolute).  The envelope 2 C^2 sits ~500x above W's peak, so a million
-    draws cost billions of proposals; proposals whose u clears the largest
-    node value over the envelope are rejected without touching x or the
-    table, which is exact because Pchip never overshoots its node values.
+    draws cost billions of proposals.  A proposal whose u is at least the
+    ceiling p = max(node values) / (2 C^2) is rejected whatever its x, which
+    is exact because Pchip never overshoots its node values.  Such certain
+    rejections are skipped by geometric thinning (Devroye, Non-Uniform Random
+    Variate Generation, 1986, ch. II.3): only candidates, the proposals with
+    u < p, are generated.  The number of proposals up to and including the
+    next candidate is Geometric(p) on {1, 2, ...}, and a candidate's u is
+    uniform on [0, p), so the accepted draws and their proposal indices have
+    exactly the distribution of the plain proposal loop.
     The bit generator is Philox (counter-based) keyed by the seed, every
-    proposal consumes exactly two uniforms, and chunk sizes are fixed, so the
-    accepted stream depends only on the seed and sample(m) is a prefix of
+    candidate consumes exactly three uniforms, and chunk sizes are fixed, so
+    the accepted stream depends only on the seed and sample(m) is a prefix of
     sample(n) for m < n.
     """
 
-    _CHUNK = 1 << 23
+    _CHUNK = 1 << 16   # candidates per block of uniforms
 
     def __init__(self, sigma: float, cfg: EvalConfig = DEFAULT_CONFIG):
         if not 0.5 < sigma < 1.0:
@@ -342,23 +347,30 @@ class XSigmaSampler:
         return np.where(x >= _W_CUT, 1.0, np.where(x < 0.0, 0.0, v))
 
     def sample_indexed(self, n: int, seed: int):
-        """n draws plus each draw's global proposal index (for exact rates)."""
+        """n draws plus each draw's global proposal index (for exact rates).
+
+        Each candidate reads one row (u0, u1, u2) of uniforms: its gap to the
+        previous candidate floor(log1p(-u0) / log1p(-p)) + 1, its proposal
+        x = -log1p(-u1) / sigma, and its acceptance variate p u2.
+        """
         rng = np.random.Generator(np.random.Philox(key=seed))
+        p = self._accept_ceiling
+        log_q = math.log1p(-p)
         out = np.empty(n)
         idx = np.empty(n, dtype=np.int64)
         got = 0
-        base = 0
+        last = -1                  # proposal index of the previous candidate
         while got < n:
-            u = rng.random((self._CHUNK, 2))
-            cand = np.nonzero(u[:, 1] < self._accept_ceiling)[0]
-            x = -np.log1p(-u[cand, 0]) / self.sigma
-            accept = u[cand, 1] * self.envelope < self.w_table(x)
-            pos = np.nonzero(accept)[0]
+            u = rng.random((self._CHUNK, 3))
+            gaps = np.floor(np.log1p(-u[:, 0]) / log_q).astype(np.int64) + 1
+            cand_idx = last + np.cumsum(gaps)
+            x = -np.log1p(-u[:, 1]) / self.sigma
+            pos = np.nonzero(p * u[:, 2] * self.envelope < self.w_table(x))[0]
             take = min(n - got, pos.size)
             out[got:got + take] = x[pos[:take]]
-            idx[got:got + take] = base + cand[pos[:take]]
+            idx[got:got + take] = cand_idx[pos[:take]]
             got += take
-            base += self._CHUNK
+            last = int(cand_idx[-1])
         return out, idx
 
     def sample(self, n: int, seed: int):
@@ -368,7 +380,7 @@ class XSigmaSampler:
         return out, n / float(idx[-1] + 1)
 
 
-@lru_cache(maxsize=8)
+@config_cache(maxsize=8)
 def _sampler(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> XSigmaSampler:
     return XSigmaSampler(sigma, cfg)
 

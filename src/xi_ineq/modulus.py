@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .config import DEFAULT_CONFIG, EvalConfig
+from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError
 from .quadrature import (integrate_eta_weighted, integrate_finite,
                          integrate_oscillatory_cos, integrate_semi_infinite)
@@ -425,7 +424,7 @@ def S_T_constants(sigma: float, method: str = "B_series",
     return ConstantsReport(sigma, s_value, t_value, method, trunc, err)
 
 
-@lru_cache(maxsize=64)
+@config_cache(maxsize=64)
 def constants(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG):
     """Cached converged (S_sigma, T_sigma); the series route is the cheapest."""
     report = S_T_constants(sigma, "B_series", cfg)

@@ -17,9 +17,8 @@ correlation kernel U_sigma, and the cosine-transform route to |xi|^2 through it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
-from .config import DEFAULT_CONFIG, EvalConfig
+from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import DomainError
 from .quadrature import (integrate_finite, integrate_oscillatory_cos,
                          integrate_semi_infinite)
@@ -50,7 +49,7 @@ def xi(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     return 0.5 + 0.5 * s * (s - 1.0) * integral
 
 
-@lru_cache(maxsize=256)
+@config_cache(maxsize=256)
 def xi_real(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """xi at a real point (real-valued there; cached, it normalizes densities)."""
     return xi(complex(sigma, 0.0), cfg).real

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from xi_ineq.cli import main, render_json
-from xi_ineq.config import config_from_mapping, parse_config_text
+from xi_ineq.config import DEFAULT_CONFIG, config_from_mapping, parse_config_text
 from xi_ineq.modulus import constants
 
 
@@ -107,6 +107,19 @@ class TestCommands:
         row = json.loads(out)["outputs"]["rows"][0]
         assert row["within_4se"] and row["inequality_holds"]
 
+    def test_montecarlo_estimate_below_bound_within_4se_is_indeterminate(self, capsys):
+        # at t = 10 the exact value clears the bound by ~0.06 se at 5000 draws,
+        # so an estimate below the bound is sampling noise, not a violation
+        code, out = run_cli(capsys, "montecarlo", "--sigma", "0.75",
+                            "--t-list", "1,10", "--samples", "5000", "--seed", "8")
+        report = json.loads(out)
+        assert code == 2 and report["status"] == "indeterminate"
+        row_1, row_10 = report["outputs"]["rows"]
+        assert row_10["estimate"] < row_10["bound_rhs"]
+        assert row_10["verdict"] == "indeterminate"
+        assert row_1["verdict"] == "holds"
+        assert row_1["within_4se"] and row_10["within_4se"]
+
     def test_reproduce_appendix_reports_known_mismatch(self, capsys):
         # the inversion-recipe S row cannot match its published value (upstream
         # inconsistency); the command must surface that as a fail, exit 1
@@ -159,4 +172,11 @@ class TestCommands:
         code, _ = run_cli(capsys, "autocorr", "--sigma", "0.75", "--t-max", "2",
                           "--step", "0.5")
         assert code == 0
+        assert constants.cache_info().misses == 1
+
+    def test_constants_one_cache_entry_whatever_the_call_form(self):
+        constants.cache_clear()
+        constants(0.75)
+        constants(0.75, DEFAULT_CONFIG)
+        constants(0.75, cfg=DEFAULT_CONFIG)
         assert constants.cache_info().misses == 1

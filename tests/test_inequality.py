@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,44 @@ class TestSampler:
         XSigmaSampler(0.75, cfg)
         poly_approx_V(0.75, 8, 16, 0.5, cfg)
         assert _w_table.cache_info().misses == 1
+
+    def test_w_table_shared_whatever_the_call_form(self, cfg):
+        _w_table.cache_clear()
+        _w_table(0.75)
+        XSigmaSampler(0.75, cfg)
+        _w_table(sigma=0.75, cfg=cfg)
+        assert _w_table.cache_info().misses == 1
+
+    def test_thinned_acceptance_rate_is_exact(self, cfg):
+        # P(accept) = E[w(X)] / envelope with X ~ Exp(sigma), which is
+        # sigma * int w e^{-sigma x} dx / envelope; n / proposals estimates it
+        # with relative standard error sqrt((1 - rate) / n)
+        s = XSigmaSampler(0.75, cfg)
+        n = 200_000
+        _, rate = s.sample(n, seed=21)
+        exact = 0.75 * s._norm / s.envelope
+        se = exact * math.sqrt((1.0 - exact) / n)
+        assert abs(rate - exact) <= 4.0 * se
+
+    def test_proposal_indices_strictly_increasing(self, cfg):
+        s = XSigmaSampler(0.75, cfg)
+        _, idx = s.sample_indexed(50_000, seed=4)
+        assert idx.dtype == np.int64
+        assert idx[0] >= 0
+        assert np.all(np.diff(idx) > 0)
+
+    def test_million_draws_stay_small_in_memory(self, cfg):
+        # the draws and their indices hold 16 MB; the proposal blocks must
+        # add little on top of that
+        s = XSigmaSampler(0.75, cfg)
+        tracemalloc.start()
+        try:
+            xs, _ = s.sample_indexed(1_000_000, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert xs.size == 1_000_000
+        assert peak < 64 * 2 ** 20
 
     def test_table_never_exceeds_accept_ceiling(self, cfg):
         # rejecting u2 >= ceiling without reading W is exact only if the
