@@ -227,7 +227,7 @@ def cmd_scan(args, cfg: EvalConfig) -> int:
 
 
 def cmd_coeffs(args, cfg: EvalConfig) -> int:
-    sigma = _floats(args.sigma)[0]
+    sigma = args.sigma
     tau = sigma - 0.5
     series = power_series_coeffs(sigma, args.kmax, cfg)
     rows = []
@@ -259,7 +259,7 @@ def cmd_montecarlo(args, cfg: EvalConfig) -> int:
     """As in `scan`, a row is `violated` only when the estimate lies more than
     4 standard errors below the bound, `holds` when it lies more than 4 se
     above it, and `indeterminate` in between."""
-    sigma = _floats(args.sigma)[0]
+    sigma = args.sigma
     rows = []
     for t in _floats(args.t_list):
         rep = mc_check(sigma, t, args.samples, args.seed, cfg)
@@ -298,12 +298,12 @@ def cmd_montecarlo(args, cfg: EvalConfig) -> int:
 
 
 def cmd_autocorr(args, cfg: EvalConfig) -> int:
-    sigma = _floats(args.sigma)[0]
+    sigma = args.sigma
+    scan = orthogonalization_scan(sigma, args.t_max, args.step, cfg)   # rejects bad step, t_max
     n = int(math.floor(args.t_max / args.step + 1e-9))
     grid = [k * args.step for k in range(n + 1)]
     values = [autocorrelation_A(sigma, t, cfg) for t in grid]
     rows = [{"sigma": sigma, "t": t, "A": v} for t, v in zip(grid, values)]
-    scan = orthogonalization_scan(sigma, args.t_max, args.step, cfg)
     a0_ok = abs(values[0] - 1.0) <= 1e-12
     bounded = all(abs(v) <= 1.0 + 1e-9 for v in values)
     status = "pass" if (a0_ok and bounded and scan["iota_found"] is None) else "fail"
@@ -397,8 +397,8 @@ def cmd_selftest(args, cfg: EvalConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _subcommand(subs, name: str, help_text: str, sigma: str | None = None):
-    """A subparser with the report flags every subcommand reads, plus --sigma
-    (with this default) for the subcommands that read it."""
+    """A subparser with the report flags every subcommand reads, plus a comma
+    list --sigma (with this default) for the subcommands that loop over it."""
     sub = subs.add_parser(name, help=help_text)
     if sigma is not None:
         sub.add_argument("--sigma", default=sigma, help="sigma value or comma list")
@@ -427,15 +427,17 @@ def build_parser() -> _Parser:
     p.add_argument("--step", type=float, default=0.25)
     p.add_argument("--route", default="representation",
                    choices=["representation", "J_eta"])
-    p = _subcommand(subs, "coeffs", "power-series coefficients", sigma="0.75")
+    p = _subcommand(subs, "coeffs", "power-series coefficients")
+    p.add_argument("--sigma", type=float, default=0.75, help="one sigma value")
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--t-check", dest="t_check", type=float, default=1.0)
-    p = _subcommand(subs, "montecarlo", "expectation inequality, sampled",
-                    sigma="0.75")
+    p = _subcommand(subs, "montecarlo", "expectation inequality, sampled")
+    p.add_argument("--sigma", type=float, default=0.75, help="one sigma value")
     p.add_argument("--t-list", dest="t_list", default="1,5,10")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=12345)
-    p = _subcommand(subs, "autocorr", "autocorrelation + zero scan", sigma="0.75")
+    p = _subcommand(subs, "autocorr", "autocorrelation + zero scan")
+    p.add_argument("--sigma", type=float, default=0.75, help="one sigma value")
     p.add_argument("--t-max", dest="t_max", type=float, default=30.0)
     p.add_argument("--step", type=float, default=0.5)
     _subcommand(subs, "reproduce-appendix", "published fixed-truncation constants")

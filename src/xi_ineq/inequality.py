@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import BarycentricInterpolator, PchipInterpolator
 
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import DomainError
@@ -85,8 +85,8 @@ def scan_inequality(sigma: float, t_max: float, step: float,
     """
     if not 0.5 < sigma < 1.0:
         raise DomainError(f"scan needs sigma in (1/2,1), got {sigma!r}")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if step <= 0.0 or t_max < 0.0:
+        raise DomainError(f"scan needs step > 0 and t_max >= 0, got {step!r}, {t_max!r}")
     n = int(math.floor(t_max / step + 1e-9))
     grid = [k * step for k in range(n + 1)]
 
@@ -128,20 +128,32 @@ def scan_inequality(sigma: float, t_max: float, step: float,
 
 _MOMENT_CAP = 200   # (2n)! growth makes terms vanish far below this in practice
 _W_CUT = 2.4        # W's support cut: the mass of W e^{-sigma x} beyond is < 1e-25
+_GL_NODES = 64      # Hcal is analytic on [0, _W_CUT]: 64 nodes resolve it to rounding
+
+
+def _gauss_legendre(b: float):
+    """Nodes and weights of the _GL_NODES-point Gauss-Legendre rule on [0, b]."""
+    t, lam = np.polynomial.legendre.leggauss(_GL_NODES)
+    return 0.5 * b * (t + 1.0), 0.5 * b * lam
 
 
 @config_cache(maxsize=32)
-def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> PchipInterpolator:
-    """Monotone-cubic (Pchip) table of W_sigma on [0, _W_CUT], the one W table
-    per sigma behind the moment integrals and the sampler.
-
-    Nodes are 0 and 1023 log-spaced points from 1e-4.  The table is certified
-    against the closed form to 1e-8 absolute at every 64th node midpoint and
-    at 41 evenly spaced probes.  Pchip never leaves the range of its data on
-    any interval, so the largest node value bounds the table everywhere.
-    """
+def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
+    """(density, table) from the one Hcal evaluation per sigma.  `density` is
+    the barycentric polynomial (Berrut & Trefethen, SIAM Review 46, 2004) of
+    W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma on the Gauss-Legendre
+    nodes of [0, _W_CUT]; `table` is its Pchip resampling of W, clamped at 0,
+    on 0 and 1023 log-spaced nodes from 1e-4, certified to 1e-8 absolute
+    against the closed form at every 64th node midpoint and 41 evenly spaced
+    probes before either is returned.  Pchip never overshoots its nodes."""
+    pref = 2.0 ** (sigma + 1.5) / math.pi
+    nodes, _ = _gauss_legendre(_W_CUT)
+    density = BarycentricInterpolator(
+        nodes, [pref * calH(sigma, float(x), cfg) for x in nodes])
     xs = np.concatenate([[0.0], np.geomspace(1e-4, _W_CUT, 1023)])
-    ws = np.array([W_sigma(sigma, float(x), "closed", cfg) for x in xs])
+    # in parts: all 1024 at once would add 1 MB of temporaries to peak memory
+    ws = np.concatenate([density(part) for part in np.split(xs, 16)])
+    ws = np.maximum(ws, 0.0) * np.exp(sigma * xs)
     table = PchipInterpolator(xs, ws, extrapolate=False)
     mids = 0.5 * (xs[1:] + xs[:-1])
     probes = np.concatenate([mids[::64], np.linspace(1.7e-3, _W_CUT - 1e-3, 41)])
@@ -149,40 +161,21 @@ def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> PchipInterpolato
                 for m in probes)
     if worst > 1e-8:
         raise RuntimeError(f"W table certification failed: err {worst:.2e}")
-    return table
+    return density, table
 
 
 @config_cache(maxsize=64)
 def _scaled_moments(sigma: float, N1: int, n_hi: int,
                     cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
-    """mu_n = int_0^N1 W e^{-sigma x} x^{2n}/(2n)! dx for n = 0..n_hi.
-
-    The 1/(2n)! is folded into the integrand via exp-lgamma so nothing
-    overflows; entries whose crude bound is below 1e-30 are skipped as 0.
-    """
-    x_hi = min(float(N1), _W_CUT)   # beyond the cut the integrand is below 1e-25
-    table = _w_table(sigma, cfg)
-
-    def g(x):
-        return float(table(x)) * math.exp(-sigma * x)
-
-    out = []
-    for n in range(n_hi + 1):
-        if n == 0:
-            out.append(integrate_finite(g, 0.0, x_hi, cfg, abs_tol=1e-15).value)
-            continue
-        log_bound = 2 * n * math.log(x_hi) - math.lgamma(2 * n + 1)
-        if log_bound < math.log(1e-30):
-            out.append(0.0)
-            continue
-
-        def f(x, n=n):
-            if x <= 0.0:
-                return 0.0
-            return g(x) * math.exp(2 * n * math.log(x) - math.lgamma(2 * n + 1))
-
-        out.append(integrate_finite(f, 0.0, x_hi, cfg, abs_tol=1e-15).value)
-    return tuple(out)
+    """mu_n = int_0^N1 W e^{-sigma x} x^{2n}/(2n)! dx for n = 0..n_hi: one
+    Gauss-Legendre rule on [0, min(N1, _W_CUT)] over `_w_table`'s density.
+    Running products build x^{2n}/(2n)!, so nothing overflows."""
+    density, _ = _w_table(sigma, cfg)
+    xs, weights = _gauss_legendre(min(float(N1), _W_CUT))
+    k = np.arange(1, n_hi + 1)
+    steps = np.outer(1.0 / ((2 * k - 1) * (2 * k)), xs * xs)
+    powers = np.vstack([np.ones_like(xs), np.cumprod(steps, axis=0)])
+    return tuple(float(m) for m in powers @ (weights * density(xs)))
 
 
 def poly_approx_V(sigma: float, N1: int, N2: int, t: float,
@@ -203,10 +196,7 @@ def poly_approx_V(sigma: float, N1: int, N2: int, t: float,
     s_val, t_val = constants(sigma, cfg)
     total = 0.0
     for n in range(n_hi + 1):
-        mu = moments[n]
-        if mu == 0.0:
-            continue
-        term = mu if n == 0 else mu * t ** (2 * n)
+        term = moments[n] * t ** (2 * n)
         total += -term if n % 2 else term
         if n > 0 and abs(term) < 1e-22 * max(abs(total), 1e-300):
             break
@@ -324,7 +314,7 @@ class XSigmaSampler:
         self.sigma = sigma
         self.cfg = cfg
         self.envelope = 2.0 * sup_constant_C(cfg) ** 2
-        self._w = _w_table(sigma, cfg)
+        _, self._w = _w_table(sigma, cfg)
         xs = self._w.x
         ws = self._w(xs)
         if np.any(ws >= self.envelope):
@@ -417,7 +407,7 @@ def mc_check(sigma: float, t: float, n_samples: int, seed: int,
              cfg: EvalConfig = DEFAULT_CONFIG) -> MCReport:
     """Monte-Carlo estimate of E[cos(t X_sigma)] with its quadrature twin."""
     if n_samples < 1000:
-        raise ValueError("n_samples must be >= 1e3")
+        raise DomainError(f"Monte-Carlo needs n_samples >= 1000, got {n_samples!r}")
     xs, acc_rate = _cached_draw(sigma, n_samples, seed, cfg)
     cos_vals = np.cos(t * xs)
     estimate = float(np.mean(cos_vals))
@@ -499,6 +489,8 @@ def scan_for_zero(f: Callable[[float], float], t_lo: float, t_max: float,
     magnitude (10x the local error estimate, for quadrature-backed f).
     Returns {'zero': t or None, 'min_value': .., 'min_t': ..}.
     """
+    if step <= 0.0:
+        raise DomainError(f"zero scan needs step > 0, got {step!r}")
     t_prev = t_lo
     f_prev = f(t_prev)
     min_v, min_t = f_prev, t_prev
@@ -523,6 +515,8 @@ def orthogonalization_scan(sigma: float, t_max: float, step: float = 0.5,
     Returns {'iota_found': t or None, 'min_A': .., 'min_t': ..}.  No zero on
     the scanned range is the expected outcome for sigma in (1/2, 1).
     """
+    if t_max < 0.0:
+        raise DomainError(f"autocorrelation scan needs t_max >= 0, got {t_max!r}")
     noise = 1e4 * cfg.quad_abs_tol   # conservative 10x error floor for A values
     result = scan_for_zero(lambda t: autocorrelation_A(sigma, t, cfg),
                            step, t_max, step, noise_floor=noise, xtol=1e-10)

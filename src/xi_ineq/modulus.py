@@ -238,9 +238,10 @@ def _w_exp_cutoff(cfg: EvalConfig) -> float:
     return math.log(1.0 + target / (2.0 * math.pi))
 
 
+@config_cache(maxsize=256)
 def w_cos_transform(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """int_0^inf W_sigma(x) e^{-sigma x} cos(tx) dx, through the closed form
-    (the integrand is 2^{sigma+3/2} pi^{-1} Hcal_sigma(x))."""
+    (the integrand is 2^{sigma+3/2} pi^{-1} Hcal_sigma(x)), cached."""
     pref = 2.0 ** (sigma + 1.5) / math.pi
     result = integrate_oscillatory_cos(
         lambda x: pref * calH(sigma, x, cfg, abs_tol=0.1 * cfg.quad_abs_tol), t, 0.0,
@@ -444,16 +445,17 @@ def modulus_rhs(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> flo
     return 0.5 * (s_val + t_val * t * t + poly * w_cos_transform(sigma, t, cfg))
 
 
-def _j_inner_cos(tau: float, t: float, y: float, cfg: EvalConfig,
-                 log_margin: float = 0.0) -> float:
-    """int_1^inf cos(2 t ln x) J_tau(x^2 y) dx, via u = ln x.
+def _j_u_cutoff(y: float, log_margin: float) -> float:
+    """u = ln x where J_tau(x^2 y) ~ exp(-2 pi y e^{2u}) falls below e^{-37 - log_margin}."""
+    lim = _EXP_UNDERFLOW / 20.0 + log_margin
+    return 0.5 * math.log(max(lim / (2.0 * math.pi * y), 1.0))
 
-    The integrand decays like exp(-2 pi y e^{2u}), so the u-range is tiny.
-    """
-    lim = _EXP_UNDERFLOW / 20.0 + log_margin   # e^{-37} below any tolerance here
-    if 2.0 * math.pi * y >= lim:
+
+def _j_inner_cos(tau: float, t: float, y: float, cfg: EvalConfig) -> float:
+    """int_1^inf cos(2 t ln x) J_tau(x^2 y) dx, via u = ln x."""
+    u_max = _j_u_cutoff(y, 0.0)
+    if u_max == 0.0:
         return 0.0
-    u_max = 0.5 * math.log(lim / (2.0 * math.pi * y))
 
     def f(u):
         return J_tau(tau, math.exp(2.0 * u) * y, 0, cfg) * math.exp(u)
@@ -495,10 +497,9 @@ def a_coeff(tau: float, k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     margin = 4.0 * k   # polynomial weight u^{2k} shifts the cutoff slightly
 
     def inner(y):
-        lim = _EXP_UNDERFLOW / 20.0 + margin
-        if 2.0 * math.pi * y >= lim:
+        u_max = _j_u_cutoff(y, margin)
+        if u_max == 0.0:
             return 0.0
-        u_max = 0.5 * math.log(lim / (2.0 * math.pi * y))
 
         def f(u):
             return u ** (2 * k) * J_tau(tau, math.exp(2.0 * u) * y, 0, cfg) * math.exp(u)
@@ -539,5 +540,7 @@ def c_coeff(tau: float, k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 def power_series_coeffs(sigma: float, K: int,
                         cfg: EvalConfig = DEFAULT_CONFIG) -> PowerSeriesCoeffs:
     """First K+1 coefficients of |xi(sigma-it)|^2 = sum_k c(k) t^{2k}."""
+    if K < 0:
+        raise DomainError(f"power series needs K >= 0, got {K!r}")
     tau = sigma - 0.5
     return PowerSeriesCoeffs(sigma, [c_coeff(tau, k, cfg) for k in range(K + 1)], K)

@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import xi_ineq
 from xi_ineq.cli import main, render_json
 from xi_ineq.config import DEFAULT_CONFIG, config_from_mapping, parse_config_text
-from xi_ineq.modulus import constants
+from xi_ineq.modulus import constants, w_cos_transform
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +177,38 @@ class TestCommands:
                           "--step", "0.5")
         assert code == 0
         assert constants.cache_info().misses == 1
+
+    def test_montecarlo_computes_each_transform_once(self, capsys):
+        # t = 1, 5, 10 plus the t = 0 normalization shared by every row
+        w_cos_transform.cache_clear()
+        run_cli(capsys, "montecarlo", "--sigma", "0.75", "--t-list", "1,5,10",
+                "--samples", "2000", "--seed", "3")
+        assert w_cos_transform.cache_info().misses == 4
+
+    @pytest.mark.parametrize("argv, mention", [
+        (["autocorr", "--step", "-0.5"], "step"),
+        (["autocorr", "--step", "0"], "step"),
+        (["montecarlo", "--samples", "10"], "n_samples"),
+        (["scan", "--step", "0"], "step"),
+        (["scan", "--t-max", "-1"], "t_max"),
+        (["coeffs", "--kmax", "-1"], "K >= 0"),
+        (["montecarlo", "--sigma", "0.6,0.7"], "--sigma"),
+        (["coeffs", "--sigma", "0.6,0.7"], "--sigma"),
+        (["autocorr", "--sigma", "0.6,0.7"], "--sigma"),
+    ])
+    def test_bad_value_is_usage_error(self, argv, mention):
+        # in a child process with a timeout: a negative autocorr step used to
+        # walk away from t_max forever
+        src = os.path.dirname(os.path.dirname(xi_ineq.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "xi_ineq.cli", *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        message = proc.stderr.strip().splitlines()[-1]
+        assert message.startswith("xi-ineq") and mention in message
 
     def test_constants_one_cache_entry_whatever_the_call_form(self):
         constants.cache_clear()

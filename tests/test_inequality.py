@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from conftest import xi_mod_sq_reference
+from xi_ineq import modulus
 from xi_ineq.errors import DomainError
 from xi_ineq.inequality import (_W_CUT, XSigmaSampler, _scaled_moments,
                                 _w_table, autocorrelation_A, bisect_zero,
@@ -13,7 +15,7 @@ from xi_ineq.inequality import (_W_CUT, XSigmaSampler, _scaled_moments,
                                 orthogonalization_scan, poly_approx_V,
                                 scan_for_zero, scan_inequality,
                                 truncation_levels, verify_tail_bound)
-from xi_ineq.modulus import constants, w_cos_transform
+from xi_ineq.modulus import W_sigma, constants, w_cos_transform
 from xi_ineq.quadrature import integrate_finite
 from xi_ineq.xi import xi_mod_sq
 
@@ -52,6 +54,24 @@ class TestPolyApprox:
     def test_odd_truncation_positivity(self, cfg, t):
         # sum cut at an even index (2m-2, m=2) upper-bounds cos, so V > 0
         assert poly_approx_V(0.75, 10, 2, t, cfg) > 0.0
+
+    @pytest.mark.parametrize("sigma", [0.6, 0.75, 0.9])
+    def test_matches_mpmath_to_rounding(self, cfg, sigma):
+        # N1 = 6 is past W's support cut and the series has converged by
+        # n = 200, so only the moments' own error is left
+        v = poly_approx_V(sigma, 6, 200, 1.0, cfg)
+        want = 2.0 * xi_mod_sq_reference(sigma, 1.0)
+        assert abs(v - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("N1", [1, 2])
+    def test_moments_short_of_the_cut_match_adaptive_quadrature(self, cfg, N1):
+        moments = _scaled_moments(0.75, N1, 3, cfg)
+        for n, mu in enumerate(moments):
+            want = integrate_finite(
+                lambda x: (W_sigma(0.75, x, "closed", cfg) * math.exp(-0.75 * x)
+                           * x ** (2 * n) / math.factorial(2 * n)),
+                0.0, float(N1), cfg, abs_tol=1e-300).value
+            assert abs(mu - want) <= 1e-12 * want
 
     def test_moments_reused_across_t(self, cfg):
         a = poly_approx_V(0.75, 8, 16, 0.5, cfg)
@@ -147,6 +167,20 @@ class TestSampler:
         XSigmaSampler(0.75, cfg)
         poly_approx_V(0.75, 8, 16, 0.5, cfg)
         assert _w_table.cache_info().misses == 1
+
+    def test_w_table_evaluates_hcal_at_most_121_times(self, cfg, monkeypatch):
+        # 64 Gauss-Legendre nodes plus 57 certification probes
+        calls = []
+        calG = modulus.calG
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return calG(*args, **kwargs)
+
+        monkeypatch.setattr(modulus, "calG", counted)
+        _w_table.cache_clear()
+        _w_table(0.75, cfg)
+        assert 0 < len(calls) <= 121
 
     def test_w_table_shared_whatever_the_call_form(self, cfg):
         _w_table.cache_clear()
@@ -293,6 +327,20 @@ class TestZeroLocalization:
         res = scan_for_zero(acf, 0.05, 3.0, 0.05, xtol=1e-10)
         assert res["zero"] is not None
         assert abs(res["zero"] - math.pi / 4.0) < 1e-9
+
+    @pytest.mark.parametrize("step", [0.0, -0.5])
+    def test_scan_rejects_nonpositive_step(self, step):
+        # a step away from t_max would walk forever; the probe ends it
+        calls = []
+
+        def probe(t):
+            calls.append(t)
+            if len(calls) > 100:
+                raise RuntimeError("scan did not stop")
+            return 1.0
+
+        with pytest.raises(DomainError, match="step"):
+            scan_for_zero(probe, 0.5, 2.0, step)
 
     def test_noise_floor_suppresses_spurious_changes(self):
         wiggle = lambda t: 1e-14 * math.sin(50.0 * t) + 1e-16
