@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator, PchipInterpolator
+from numpy.polynomial import Chebyshev
 
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import DomainError
@@ -128,54 +128,53 @@ def scan_inequality(sigma: float, t_max: float, step: float,
 
 _MOMENT_CAP = 200   # (2n)! growth makes terms vanish far below this in practice
 _W_CUT = 2.4        # W's support cut: the mass of W e^{-sigma x} beyond is < 1e-25
-_GL_NODES = 64      # Hcal is analytic on [0, _W_CUT]: 64 nodes resolve it to rounding
+_NODES = 64         # Hcal is analytic on [0, _W_CUT]: 64 nodes resolve it to rounding
+_THETA = (2 * np.arange(_NODES) + 1) * math.pi / (2 * _NODES)
+_X = 0.5 * _W_CUT * (1.0 - np.cos(_THETA))       # Chebyshev points of the first kind
+_BARY = (-1.0) ** np.arange(_NODES) * np.sin(_THETA)     # their barycentric weights
+_K = np.arange(1, _NODES // 2 + 1)   # Fejer type-1 weights (Waldvogel, BIT 46, 2006)
+_FEJER = 1.0 - 2.0 * (np.cos(2.0 * np.outer(_THETA, _K)) / (4 * _K * _K - 1)).sum(axis=1)
 
 
-def _gauss_legendre(b: float):
-    """Nodes and weights of the _GL_NODES-point Gauss-Legendre rule on [0, b]."""
-    t, lam = np.polynomial.legendre.leggauss(_GL_NODES)
-    return 0.5 * b * (t + 1.0), 0.5 * b * lam
+def _density(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial through `values` at the nodes _X, at the points x (1-d), by the barycentric
+    second form (Berrut & Trefethen, SIAM Review 46, 2004); 64 floats of temporaries a point."""
+    d = np.subtract.outer(x, _X)
+    d[d == 0.0] = 1e-300   # x on a node: that node's term decides alone
+    num_den = np.reciprocal(d, out=d) @ np.stack([_BARY * values, _BARY], axis=1)
+    return num_den[:, 0] / num_den[:, 1]
 
 
 @config_cache(maxsize=32)
-def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
-    """(density, table) from the one Hcal evaluation per sigma.  `density` is
-    the barycentric polynomial (Berrut & Trefethen, SIAM Review 46, 2004) of
-    W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma on the Gauss-Legendre
-    nodes of [0, _W_CUT]; `table` is its Pchip resampling of W, clamped at 0,
-    on 0 and 1023 log-spaced nodes from 1e-4, certified to 1e-8 absolute
-    against the closed form at every 64th node midpoint and 41 evenly spaced
-    probes before either is returned.  Pchip never overshoots its nodes."""
-    pref = 2.0 ** (sigma + 1.5) / math.pi
-    nodes, _ = _gauss_legendre(_W_CUT)
-    density = BarycentricInterpolator(
-        nodes, [pref * calH(sigma, float(x), cfg) for x in nodes])
-    xs = np.concatenate([[0.0], np.geomspace(1e-4, _W_CUT, 1023)])
-    # in parts: all 1024 at once would add 1 MB of temporaries to peak memory
-    ws = np.concatenate([density(part) for part in np.split(xs, 16)])
-    ws = np.maximum(ws, 0.0) * np.exp(sigma * xs)
-    table = PchipInterpolator(xs, ws, extrapolate=False)
-    mids = 0.5 * (xs[1:] + xs[:-1])
-    probes = np.concatenate([mids[::64], np.linspace(1.7e-3, _W_CUT - 1e-3, 41)])
-    worst = max(abs(float(table(m)) - W_sigma(sigma, float(m), "closed", cfg))
-                for m in probes)
+def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma at the nodes _X: through
+    `_density`, the density that the moments integrate and the sampler draws
+    from, certified against the closed form of W to 1e-8 absolute at 57 probes."""
+    values = 2.0 ** (sigma + 1.5) / math.pi * np.array([calH(sigma, float(x), cfg) for x in _X])
+    probes = np.concatenate([(0.5 * (_X[1:] + _X[:-1]))[::4],
+                             np.linspace(1.7e-3, _W_CUT - 1e-3, 41)])
+    ws = _density(values, probes) * np.exp(sigma * probes)
+    worst = max(abs(w - W_sigma(sigma, float(x), "closed", cfg)) for x, w in zip(probes, ws))
     if worst > 1e-8:
         raise RuntimeError(f"W table certification failed: err {worst:.2e}")
-    return density, table
+    return values
+
+
+def _cos_taylor_terms(sigma: float, N1: int, n_hi: int, t: float, cfg: EvalConfig):
+    """int_0^N1 W e^{-sigma x} (tx)^{2n}/(2n)! dx, n = 0..n_hi, by one Fejer rule on
+    [0, min(N1, _W_CUT)]; running products keep each (tx)^{2n}/(2n)! < e^{tx}."""
+    b = min(float(N1), _W_CUT)
+    xs = b / _W_CUT * _X
+    k = np.arange(1, n_hi + 1)
+    steps = np.outer(1.0 / ((2 * k - 1) * (2 * k)), (t * xs) ** 2)
+    powers = np.vstack([np.ones_like(xs), np.cumprod(steps, axis=0)])
+    return powers @ (b / _NODES * _FEJER * _density(_w_table(sigma, cfg), xs))
 
 
 @config_cache(maxsize=64)
-def _scaled_moments(sigma: float, N1: int, n_hi: int,
-                    cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
-    """mu_n = int_0^N1 W e^{-sigma x} x^{2n}/(2n)! dx for n = 0..n_hi: one
-    Gauss-Legendre rule on [0, min(N1, _W_CUT)] over `_w_table`'s density.
-    Running products build x^{2n}/(2n)!, so nothing overflows."""
-    density, _ = _w_table(sigma, cfg)
-    xs, weights = _gauss_legendre(min(float(N1), _W_CUT))
-    k = np.arange(1, n_hi + 1)
-    steps = np.outer(1.0 / ((2 * k - 1) * (2 * k)), xs * xs)
-    powers = np.vstack([np.ones_like(xs), np.cumprod(steps, axis=0)])
-    return tuple(float(m) for m in powers @ (weights * density(xs)))
+def _scaled_moments(sigma: float, N1: int, n_hi: int, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
+    """mu_n = int_0^N1 W e^{-sigma x} x^{2n}/(2n)! dx for n = 0..n_hi."""
+    return tuple(float(m) for m in _cos_taylor_terms(sigma, N1, n_hi, 1.0, cfg))
 
 
 def poly_approx_V(sigma: float, N1: int, N2: int, t: float,
@@ -185,23 +184,21 @@ def poly_approx_V(sigma: float, N1: int, N2: int, t: float,
         S + T t^2 + (t^2+(1-sigma)^2)(t^2+sigma^2)
             * sum_{n=0}^{N2} (-1)^n t^{2n} int_0^{N1} W e^{-sigma x} x^{2n}/(2n)! dx
 
-    Moments are precomputed once per (sigma, N1, N2) and reused across t.
     N2 beyond the point where terms underflow is silently capped (the ceiling
     formulas produce astronomically large N2; see check_poly_min_criterion).
+    The alternating sum cancels as t grows: DomainError is raised once the
+    rounding estimate eps (poly sum |term_n| + |S| + |T| t^2) reaches |value|.
     """
     if N1 < 1 or N2 < 1:
         raise ValueError("N1 and N2 must be >= 1")
-    n_hi = min(N2, _MOMENT_CAP)
-    moments = _scaled_moments(sigma, N1, n_hi, cfg)
+    terms = _cos_taylor_terms(sigma, N1, min(N2, _MOMENT_CAP), t, cfg)
     s_val, t_val = constants(sigma, cfg)
-    total = 0.0
-    for n in range(n_hi + 1):
-        term = moments[n] * t ** (2 * n)
-        total += -term if n % 2 else term
-        if n > 0 and abs(term) < 1e-22 * max(abs(total), 1e-300):
-            break
     poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
-    return s_val + t_val * t * t + poly * total
+    value = s_val + t_val * t * t + poly * float(terms[::2].sum() - terms[1::2].sum())
+    rounding = np.finfo(float).eps * (poly * np.abs(terms).sum() + abs(s_val) + abs(t_val) * t * t)
+    if rounding >= abs(value):
+        raise DomainError(f"cancellation at t={t!r}: rounding {rounding:.1e} >= |value|")
+    return value
 
 
 def truncation_levels(epsilon: float, sigma: float, T: int,
@@ -288,53 +285,54 @@ class XSigmaSampler:
     on x >= 0.
 
     Proposal: Exponential(sigma).  Acceptance: u < W_sigma(x) / (2 C^2), valid
-    because W_sigma < 2 C^2 uniformly.  W is read from the shared per-sigma
-    Pchip table `_w_table` (certified against the closed form to 1e-8
-    absolute).  The envelope 2 C^2 sits ~500x above W's peak, so a million
-    draws cost billions of proposals.  A proposal whose u is at least the
-    ceiling p = max(node values) / (2 C^2) is rejected whatever its x, which
-    is exact because Pchip never overshoots its node values.  Such certain
-    rejections are skipped by geometric thinning (Devroye, Non-Uniform Random
-    Variate Generation, 1986, ch. II.3): only candidates, the proposals with
-    u < p, are generated.  The number of proposals up to and including the
-    next candidate is Geometric(p) on {1, 2, ...}, and a candidate's u is
-    uniform on [0, p), so the accepted draws and their proposal indices have
-    exactly the distribution of the plain proposal loop.
-    The bit generator is Philox (counter-based) keyed by the seed, every
-    candidate consumes exactly three uniforms, and chunk sizes are fixed, so
-    the accepted stream depends only on the seed and sample(m) is a prefix of
-    sample(n) for m < n.
+    because W_sigma < 2 C^2 uniformly; W is `_w_table`'s density times
+    e^{sigma x}, clamped at 0 and cut at _W_CUT.  On each bin of a uniform grid
+    W is at most its larger end value plus half the step times a bound on |W'|.
+    Proposals with u at or above the ceiling p = (largest bin bound) / (2 C^2)
+    are skipped by geometric thinning (Devroye, Non-Uniform Random Variate
+    Generation, 1986, II.3): only candidates, u < p, are generated, each after
+    a Geometric(p) gap on {1, 2, ...} with u uniform on [0, p).  A candidate at
+    or above its bin's bound is rejected without evaluating W (a squeeze).  So
+    the accepted draws and their proposal indices have exactly the plain
+    loop's distribution.  The bit generator is Philox keyed by the seed, each
+    candidate consumes three uniforms, and chunk sizes are fixed, so sample(m)
+    is a prefix of sample(n) for m < n.
     """
 
     _CHUNK = 1 << 16   # candidates per block of uniforms
+    _GRID = 1 << 13    # points of the ceiling grid, whose bins are the squeeze
 
     def __init__(self, sigma: float, cfg: EvalConfig = DEFAULT_CONFIG):
         if not 0.5 < sigma < 1.0:
             raise DomainError(f"sampler needs sigma in (1/2,1), got {sigma!r}")
         self.sigma = sigma
-        self.cfg = cfg
         self.envelope = 2.0 * sup_constant_C(cfg) ** 2
-        _, self._w = _w_table(sigma, cfg)
-        xs = self._w.x
-        ws = self._w(xs)
-        if np.any(ws >= self.envelope):
+        self._values = _w_table(sigma, cfg)
+        # the density's Chebyshev coefficients bound |W'| = |(dens' + sigma dens) e^{sigma x}|
+        dens = Chebyshev.interpolate(lambda x: _density(self._values, x), _NODES - 1, [0.0, _W_CUT])
+        slope = (np.abs(dens.deriv().coef).sum()
+                 + sigma * np.abs(dens.coef).sum()) * math.exp(sigma * _W_CUT)
+        ws = self.w_table(np.linspace(0.0, _W_CUT, self._GRID))
+        bins = np.maximum(ws[1:], ws[:-1]) + 0.5 * _W_CUT / (self._GRID - 1) * slope
+        # x just below _W_CUT may round into bin _GRID - 1; W is 0 from _W_CUT on
+        self._bin_bound = np.append(bins, [bins[-1], 0.0])
+        self._accept_ceiling = float(self._bin_bound.max()) / self.envelope
+        if self._accept_ceiling >= 1.0:
             raise RuntimeError("envelope 2C^2 violated by the W table")
-        # exact superset of acceptance: u2 < w(x)/envelope <= max(ws)/envelope,
-        # so proposals failing this never need x or the table at all
-        self._accept_ceiling = float(ws.max()) / self.envelope
-        dens = PchipInterpolator(xs, ws * np.exp(-sigma * xs), extrapolate=False)
-        cum = dens.antiderivative()
-        self._norm = float(cum(_W_CUT))
-        self._cum = cum
+        self._cum = dens.integ(lbnd=0.0)
+        self._norm = float(self._cum(_W_CUT))
 
     def w_table(self, x: np.ndarray) -> np.ndarray:
-        """Tabulated W at arbitrary x >= 0 (0 beyond the support cut)."""
-        return np.where(x >= _W_CUT, 0.0, self._w(x))
+        """W at the points x >= 0 (1-d), 0 beyond the support cut."""
+        w = np.maximum(_density(self._values, x), 0.0) * np.exp(self.sigma * np.minimum(x, _W_CUT))
+        return np.where(x >= _W_CUT, 0.0, w)
+
+    def _squeeze(self, x: np.ndarray) -> np.ndarray:
+        """The bound of the bin holding each x: at least w_table(x)."""
+        return self._bin_bound[np.minimum(x * ((self._GRID - 1) / _W_CUT), self._GRID).astype(int)]
 
     def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        v = self._cum(np.clip(x, 0.0, _W_CUT)) / self._norm
-        return np.where(x >= _W_CUT, 1.0, np.where(x < 0.0, 0.0, v))
+        return self._cum(np.clip(x, 0.0, _W_CUT)) / self._norm
 
     def sample_indexed(self, n: int, seed: int):
         """n draws plus each draw's global proposal index (for exact rates).
@@ -355,7 +353,9 @@ class XSigmaSampler:
             gaps = np.floor(np.log1p(-u[:, 0]) / log_q).astype(np.int64) + 1
             cand_idx = last + np.cumsum(gaps)
             x = -np.log1p(-u[:, 1]) / self.sigma
-            pos = np.nonzero(p * u[:, 2] * self.envelope < self.w_table(x))[0]
+            level = p * u[:, 2] * self.envelope
+            maybe = np.nonzero(level < self._squeeze(x))[0]
+            pos = maybe[level[maybe] < self.w_table(x[maybe])]
             take = min(n - got, pos.size)
             out[got:got + take] = x[pos[:take]]
             idx[got:got + take] = cand_idx[pos[:take]]
@@ -483,7 +483,8 @@ def bisect_zero(f: Callable[[float], float], a: float, b: float,
 
 def scan_for_zero(f: Callable[[float], float], t_lo: float, t_max: float,
                   step: float, noise_floor: float = 0.0, xtol: float = 1e-10) -> dict:
-    """Walk a grid looking for a sign change of f; bisect the first one found.
+    """Walk the floats k * step in [t_lo, t_max], the grid of `scan_inequality`
+    and the CLI, for a sign change of f; bisect the first one found.
 
     A change is trusted only when both endpoints clear `noise_floor` in
     magnitude (10x the local error estimate, for quadrature-backed f).
@@ -491,11 +492,11 @@ def scan_for_zero(f: Callable[[float], float], t_lo: float, t_max: float,
     """
     if step <= 0.0:
         raise DomainError(f"zero scan needs step > 0, got {step!r}")
-    t_prev = t_lo
-    f_prev = f(t_prev)
+    k_lo = math.ceil(t_lo / step - 1e-9)
+    t_prev, f_prev = k_lo * step, f(k_lo * step)
     min_v, min_t = f_prev, t_prev
-    t = t_lo + step
-    while t <= t_max + 1e-12:
+    for k in range(k_lo + 1, math.floor(t_max / step + 1e-9) + 1):
+        t = k * step
         f_t = f(t)
         if f_t < min_v:
             min_v, min_t = f_t, t
@@ -504,7 +505,6 @@ def scan_for_zero(f: Callable[[float], float], t_lo: float, t_max: float,
             zero = bisect_zero(f, t_prev, t, f_prev, f_t, xtol)
             return {"zero": zero, "min_value": min(min_v, 0.0), "min_t": min_t}
         t_prev, f_prev = t, f_t
-        t += step
     return {"zero": None, "min_value": min_v, "min_t": min_t}
 
 

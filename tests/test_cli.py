@@ -185,6 +185,15 @@ class TestCommands:
                 "--samples", "2000", "--seed", "3")
         assert w_cos_transform.cache_info().misses == 4
 
+    def test_autocorr_zero_scan_reuses_the_table_grid(self, capsys):
+        # the zero scan visits the floats k * step of the table, so 21 grid
+        # points (t = 0 is the normalization) cost 21 transforms
+        w_cos_transform.cache_clear()
+        code, _ = run_cli(capsys, "autocorr", "--sigma", "0.75", "--t-max", "2",
+                          "--step", "0.1")
+        assert code == 0
+        assert w_cos_transform.cache_info().misses == 21
+
     @pytest.mark.parametrize("argv, mention", [
         (["autocorr", "--step", "-0.5"], "step"),
         (["autocorr", "--step", "0"], "step"),
@@ -209,6 +218,18 @@ class TestCommands:
         assert "Traceback" not in proc.stderr
         message = proc.stderr.strip().splitlines()[-1]
         assert message.startswith("xi-ineq") and mention in message
+
+    def test_cli_import_loads_no_scipy(self):
+        # the runtime depends on numpy alone; scipy is a test extra
+        src = os.path.dirname(os.path.dirname(xi_ineq.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, xi_ineq.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_constants_one_cache_entry_whatever_the_call_form(self):
         constants.cache_clear()

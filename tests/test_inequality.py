@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import xi_mod_sq_reference
+from conftest import w_moment_reference, xi_mod_sq_reference
 from xi_ineq import modulus
 from xi_ineq.errors import DomainError
 from xi_ineq.inequality import (_W_CUT, XSigmaSampler, _scaled_moments,
@@ -72,6 +72,28 @@ class TestPolyApprox:
                            * x ** (2 * n) / math.factorial(2 * n)),
                 0.0, float(N1), cfg, abs_tol=1e-300).value
             assert abs(mu - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.9])
+    def test_zeroth_moment_matches_adaptive_transform(self, cfg, sigma):
+        # the Fejer rule on the density's own nodes is good to rounding
+        z0 = _scaled_moments(sigma, 20, 0, cfg)[0]
+        want = w_cos_transform(sigma, 0.0, cfg)
+        assert abs(z0 - want) <= 2e-15 * want
+        if sigma == 0.75:
+            assert abs(z0 - w_moment_reference(sigma)) <= 1e-12 * z0
+
+    @pytest.mark.parametrize("t, tol", [(5.0, 1e-15), (10.0, 1e-14), (15.0, 2e-12)])
+    def test_values_within_their_rounding_estimate(self, cfg, t, tol):
+        # rounding estimates 3.5e-16, 8.4e-15 and 1.0e-12 at these t
+        v = poly_approx_V(0.75, 6, 200, t, cfg)
+        assert abs(v - 2.0 * xi_mod_sq_reference(0.75, t)) <= tol
+
+    @pytest.mark.parametrize("t", [30.0, 50.0])
+    def test_cancellation_is_refused(self, cfg, t):
+        # the alternating series cancels far below double precision here:
+        # 2|xi|^2 is 6.2e-16 at t = 30, and t^{2n} alone would overflow at 50
+        with pytest.raises(DomainError, match="cancellation"):
+            poly_approx_V(0.75, 6, 200, t, cfg)
 
     def test_moments_reused_across_t(self, cfg):
         a = poly_approx_V(0.75, 8, 16, 0.5, cfg)
@@ -169,7 +191,7 @@ class TestSampler:
         assert _w_table.cache_info().misses == 1
 
     def test_w_table_evaluates_hcal_at_most_121_times(self, cfg, monkeypatch):
-        # 64 Gauss-Legendre nodes plus 57 certification probes
+        # 64 Chebyshev nodes plus 57 certification probes
         calls = []
         calG = modulus.calG
 
@@ -221,11 +243,21 @@ class TestSampler:
         assert peak < 64 * 2 ** 20
 
     def test_table_never_exceeds_accept_ceiling(self, cfg):
-        # rejecting u2 >= ceiling without reading W is exact only if the
-        # table stays below the ceiling between its nodes too
+        # rejecting u2 >= ceiling, or a level at or above its bin's bound,
+        # without reading W is exact only if W stays below both everywhere
         s = XSigmaSampler(0.75, cfg)
-        grid = np.linspace(0.0, _W_CUT, 20_000)
-        assert np.all(s.w_table(grid) <= s._accept_ceiling * s.envelope)
+        grid = np.linspace(0.0, _W_CUT, 2 ** 20)
+        w = np.concatenate([s.w_table(part) for part in np.split(grid, 256)])
+        assert np.all(w <= s._squeeze(grid))
+        assert np.all(w <= s._accept_ceiling * s.envelope)
+
+    def test_squeeze_changes_no_decision(self, cfg, monkeypatch):
+        s = XSigmaSampler(0.75, cfg)
+        xs, idx = s.sample_indexed(20_000, seed=13)
+        monkeypatch.setattr(s, "_bin_bound", np.full_like(s._bin_bound, np.inf))
+        xs_plain, idx_plain = s.sample_indexed(20_000, seed=13)
+        assert xs.tobytes() == xs_plain.tobytes()
+        assert idx.tobytes() == idx_plain.tobytes()
 
     def test_domain(self, cfg):
         with pytest.raises(DomainError):
