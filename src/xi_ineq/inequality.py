@@ -136,13 +136,22 @@ _K = np.arange(1, _NODES // 2 + 1)   # Fejer type-1 weights (Waldvogel, BIT 46, 
 _FEJER = 1.0 - 2.0 * (np.cos(2.0 * np.outer(_THETA, _K)) / (4 * _K * _K - 1)).sum(axis=1)
 
 
+_BLOCK = 1 << 16     # points per block of _density, and the sampler's candidates per chunk
+
+
 def _density(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The polynomial through `values` at the nodes _X, at the points x (1-d), by the barycentric
-    second form (Berrut & Trefethen, SIAM Review 46, 2004); 64 floats of temporaries a point."""
-    d = np.subtract.outer(x, _X)
-    d[d == 0.0] = 1e-300   # x on a node: that node's term decides alone
-    num_den = np.reciprocal(d, out=d) @ np.stack([_BARY * values, _BARY], axis=1)
-    return num_den[:, 0] / num_den[:, 1]
+    second form (Berrut & Trefethen, SIAM Review 46, 2004).  Points go in blocks of _BLOCK
+    with 64 floats of temporaries each; no call of the sampler's is split."""
+    weighted = np.stack([_BARY * values, _BARY], axis=1)
+    out = np.empty(len(x))
+    for i in range(0, len(x), _BLOCK):
+        d = np.subtract.outer(x[i:i + _BLOCK], _X)
+        d[d == 0.0] = 1e-300   # x on a node: that node's term decides alone
+        num_den = np.reciprocal(d, out=d) @ weighted
+        out[i:i + _BLOCK] = num_den[:, 0] / num_den[:, 1]
+        del d   # freed before the next block is allocated
+    return out
 
 
 @config_cache(maxsize=32)
@@ -299,7 +308,7 @@ class XSigmaSampler:
     is a prefix of sample(n) for m < n.
     """
 
-    _CHUNK = 1 << 16   # candidates per block of uniforms
+    _CHUNK = _BLOCK    # candidates per block of uniforms
     _GRID = 1 << 13    # points of the ceiling grid, whose bins are the squeeze
 
     def __init__(self, sigma: float, cfg: EvalConfig = DEFAULT_CONFIG):

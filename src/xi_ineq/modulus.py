@@ -170,16 +170,31 @@ def calG(sigma: float, lam: float, deriv: int = 0,
         return 0.0
     tau = sigma - 0.5
     u_max = _f_cosh_cutoff(terms[0][0], cfg)
+    scale = 2.0 ** (-tau)
 
-    def integrand(u):
-        c = math.cosh(u)
-        acc = 0.0
-        for mu, w in terms:
-            a = 2.0 * mu * c
-            if a > _EXP_UNDERFLOW:
-                break
-            acc += w * _f_poly(deriv, mu, c) * math.exp(-a)
-        return 2.0 ** (-tau) * acc * math.cosh(tau * u)
+    if deriv == 0:
+        # w * _f_poly(0, mu, c) is w * mu: one constant per term
+        weights = [(2.0 * mu, w * mu) for mu, w in terms]
+
+        def integrand(u):
+            c = math.cosh(u)
+            acc = 0.0
+            for two_mu, w_mu in weights:
+                a = two_mu * c
+                if a > _EXP_UNDERFLOW:
+                    break
+                acc += w_mu * math.exp(-a)
+            return scale * acc * math.cosh(tau * u)
+    else:
+        def integrand(u):
+            c = math.cosh(u)
+            acc = 0.0
+            for mu, w in terms:
+                a = 2.0 * mu * c
+                if a > _EXP_UNDERFLOW:
+                    break
+                acc += w * _f_poly(deriv, mu, c) * math.exp(-a)
+            return scale * acc * math.cosh(tau * u)
 
     return integrate_finite(integrand, 0.0, u_max, cfg,
                             abs_tol=1e-300 if abs_tol is None else abs_tol).value
@@ -464,6 +479,21 @@ def _j_inner_cos(tau: float, t: float, y: float, cfg: EvalConfig) -> float:
                                      cutoff=u_max).value
 
 
+@config_cache(maxsize=64)
+def _j_lin_cub(tau: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
+    """The t-independent integrals of modulus_rhs_via_J, once per (tau, cfg):
+    int [2y J' + J] eta dy and int y [2y^2 J''' + 9y J'' + 6 J'] eta dy."""
+    lin = integrate_eta_weighted(
+        lambda y: 2.0 * y * J_tau(tau, y, 1, cfg) + J_tau(tau, y, 0, cfg),
+        tau, cfg, decay_rate=2.0 * math.pi, scale=30.0).value
+    cub = integrate_eta_weighted(
+        lambda y: y * (2.0 * y * y * J_tau(tau, y, 3, cfg)
+                       + 9.0 * y * J_tau(tau, y, 2, cfg)
+                       + 6.0 * J_tau(tau, y, 1, cfg)),
+        tau, cfg, decay_rate=2.0 * math.pi, scale=2e4).value
+    return lin, cub
+
+
 def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """2|xi(tau+1/2-it)|^2 straight from the J/eta parametrization:
 
@@ -474,14 +504,7 @@ def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
     dbl = integrate_eta_weighted(
         lambda y: _j_inner_cos(tau, t, y, cfg), tau, cfg,
         decay_rate=2.0 * math.pi, scale=1.0).value
-    lin = integrate_eta_weighted(
-        lambda y: 2.0 * y * J_tau(tau, y, 1, cfg) + J_tau(tau, y, 0, cfg),
-        tau, cfg, decay_rate=2.0 * math.pi, scale=30.0).value
-    cub = integrate_eta_weighted(
-        lambda y: y * (2.0 * y * y * J_tau(tau, y, 3, cfg)
-                       + 9.0 * y * J_tau(tau, y, 2, cfg)
-                       + 6.0 * J_tau(tau, y, 1, cfg)),
-        tau, cfg, decay_rate=2.0 * math.pi, scale=2e4).value
+    lin, cub = _j_lin_cub(tau, cfg)
     quartic = 4.0 * ((t * t + tau * tau + 0.25) ** 2 - tau * tau)
     return quartic * dbl + (t * t + 2.0 * tau * tau + 0.25) * lin - cub
 
@@ -490,8 +513,10 @@ def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
 # Power-series coefficients of |xi(sigma-it)|^2 in t^2
 # ---------------------------------------------------------------------------
 
+@config_cache(maxsize=64)
 def a_coeff(tau: float, k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """a_tau(k) = 2^{2k+1} int int (ln x)^{2k} J_tau(x^2 y) eta_tau(y) dx dy."""
+    """a_tau(k) = 2^{2k+1} int int (ln x)^{2k} J_tau(x^2 y) eta_tau(y) dx dy, cached
+    because c_coeff(k) reads a(k), a(k-1) and a(k-2)."""
     if k < 0:
         raise DomainError(f"a_coeff needs k >= 0, got {k!r}")
     margin = 4.0 * k   # polynomial weight u^{2k} shifts the cutoff slightly

@@ -25,16 +25,13 @@ _EXP_UNDERFLOW = 745.0  # exp(-746) underflows to 0 in binary64
 _MIN_TERMS = 6
 
 
-def _series(term, cfg: EvalConfig) -> float:
-    """Sum term(1), term(2), ... with relative-tail stopping (floor 6 terms)."""
-    total = 0.0
-    for n in range(1, cfg.series_max_terms + 1):
-        t = term(n)
-        total += t
-        if n >= _MIN_TERMS and abs(t) <= cfg.series_tol * abs(total):
-            return total
-    raise ConvergenceError(
-        f"series cap {cfg.series_max_terms} reached", partial=total)
+def _cap_reached(cfg: EvalConfig, total: float) -> ConvergenceError:
+    return ConvergenceError(f"series cap {cfg.series_max_terms} reached", partial=total)
+
+
+# Every series below sums its terms n = 1, 2, ... inline and stops at the first
+# n >= _MIN_TERMS with |term_n| <= series_tol * |partial sum|; a term whose
+# exponent passes _EXP_UNDERFLOW is 0 and so ends the sum once n >= _MIN_TERMS.
 
 
 def theta_R(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -44,11 +41,15 @@ def theta_R(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     if y < 1.0:
         return (1.0 - y + theta_R(1.0 / y, cfg)) / y
 
-    def term(n):
+    tol = cfg.series_tol
+    total = 0.0
+    for n in range(1, cfg.series_max_terms + 1):
         a = math.pi * n * n * y * y
-        return 0.0 if a > _EXP_UNDERFLOW else 2.0 * math.exp(-a)
-
-    return _series(term, cfg)
+        term = 0.0 if a > _EXP_UNDERFLOW else 2.0 * math.exp(-a)
+        total += term
+        if n >= _MIN_TERMS and abs(term) <= tol * abs(total):
+            return total
+    raise _cap_reached(cfg, total)
 
 
 def theta_R_prime(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -59,11 +60,16 @@ def theta_R_prime(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
         inv = 1.0 / y
         return -theta_R_prime(inv, cfg) * inv ** 3 - (1.0 + theta_R(inv, cfg)) * inv ** 2
 
-    def term(n):
+    tol = cfg.series_tol
+    scale = -4.0 * math.pi * y
+    total = 0.0
+    for n in range(1, cfg.series_max_terms + 1):
         a = math.pi * n * n * y * y
-        return 0.0 if a > _EXP_UNDERFLOW else -4.0 * math.pi * y * n * n * math.exp(-a)
-
-    return _series(term, cfg)
+        term = 0.0 if a > _EXP_UNDERFLOW else scale * n * n * math.exp(-a)
+        total += term
+        if n >= _MIN_TERMS and abs(term) <= tol * abs(total):
+            return total
+    raise _cap_reached(cfg, total)
 
 
 def theta_G(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -77,14 +83,20 @@ def theta_H(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     if y < 1.0:
         return theta_H(1.0 / y, cfg) / y
 
-    def term(n):
+    tol = cfg.series_tol
+    four_pi, two_pi = 4.0 * math.pi, 2.0 * math.pi
+    total = 0.0
+    for n in range(1, cfg.series_max_terms + 1):
         a = math.pi * n * n * y * y
         if a > _EXP_UNDERFLOW:
-            return 0.0
-        ny2 = (n * y) ** 2
-        return 4.0 * math.pi * (2.0 * math.pi * ny2 * ny2 - 3.0 * ny2) * math.exp(-a)
-
-    return _series(term, cfg)
+            term = 0.0
+        else:
+            ny2 = (n * y) ** 2
+            term = four_pi * (two_pi * ny2 * ny2 - 3.0 * ny2) * math.exp(-a)
+        total += term
+        if n >= _MIN_TERMS and abs(term) <= tol * abs(total):
+            return total
+    raise _cap_reached(cfg, total)
 
 
 def stable_combo_A(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -123,7 +135,7 @@ def theta_R_prime_truncated(y: float, n_terms: int) -> float:
         if (a := math.pi * n * n * y * y) <= _EXP_UNDERFLOW)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def divisor_sigma(k: int, a: float) -> float:
     """sum_{d | k} d^a by trial division."""
     if k < 1:
@@ -140,6 +152,24 @@ def divisor_sigma(k: int, a: float) -> float:
     return total
 
 
+_J_TABLES = 64          # (tau, deriv) tables kept, least recently used dropped first
+_J_TABLE_TERMS = 4096   # terms a table keeps; later ones are rebuilt on each call
+_J_FIRST_TERMS = 16     # a new table's length; it doubles when a call needs more
+
+
+def _j_block(tau: float, deriv: int, start: int, stop: int) -> list:
+    """(2 pi k, sigma_{2tau}(k) k^{-tau} (-2 pi k)^deriv) for start < k <= stop."""
+    return [(2.0 * math.pi * k,
+             divisor_sigma(k, 2.0 * tau) * float(k) ** (-tau) * (-2.0 * math.pi * k) ** deriv)
+            for k in range(start + 1, stop + 1)]
+
+
+@lru_cache(maxsize=_J_TABLES)
+def _j_table(tau: float, deriv: int) -> list:
+    """The first terms' constants of J_tau's series; J_tau appends to it."""
+    return _j_block(tau, deriv, 0, _J_FIRST_TERMS)
+
+
 def J_tau(tau: float, y: float, deriv: int = 0,
           cfg: EvalConfig = DEFAULT_CONFIG, naive: bool = False) -> float:
     """deriv-th derivative of J_tau(y) = sum_{m,n} (n/m)^tau exp(-2 pi m n y).
@@ -148,8 +178,11 @@ def J_tau(tau: float, y: float, deriv: int = 0,
 
         J_tau(y) = sum_k sigma_{2tau}(k) k^{-tau} exp(-2 pi k y)
 
-    so each y-derivative just brings down (-2 pi k)^deriv.  `naive=True` keeps
-    the raw double sum (test oracle; both indices capped by series_max_terms).
+    so each y-derivative just brings down (-2 pi k)^deriv.  The constants
+    2 pi k and sigma_{2tau}(k) k^{-tau} (-2 pi k)^deriv come from a table kept
+    per (tau, deriv); each term is their product with exp(-2 pi k y), the
+    value the factor-by-factor product gives.  `naive=True` keeps the raw
+    double sum (test oracle; both indices capped by series_max_terms).
     """
     if not y > 0.0:
         raise DomainError(f"J_tau needs y > 0, got {y!r}")
@@ -171,14 +204,25 @@ def J_tau(tau: float, y: float, deriv: int = 0,
                 break
         return total
 
-    def term(k):
-        a = 2.0 * math.pi * k * y
-        if a > _EXP_UNDERFLOW:
-            return 0.0
-        return (divisor_sigma(k, 2.0 * tau) * float(k) ** (-tau)
-                * (-2.0 * math.pi * k) ** deriv * math.exp(-a))
-
-    return _series(term, cfg)
+    tol = cfg.series_tol
+    cap = cfg.series_max_terms
+    table = _j_table(tau, deriv)
+    block = table if len(table) <= cap else table[:cap]
+    total = 0.0
+    k = 0
+    while True:
+        for rate, coef in block:
+            k += 1
+            a = rate * y
+            term = 0.0 if a > _EXP_UNDERFLOW else coef * math.exp(-a)
+            total += term
+            if k >= _MIN_TERMS and abs(term) <= tol * abs(total):
+                return total
+        if k >= cap:
+            raise _cap_reached(cfg, total)
+        block = _j_block(tau, deriv, k, min(2 * k, cap))
+        if len(table) == k and 2 * k <= _J_TABLE_TERMS:
+            table.extend(block)
 
 
 def eta_tau(tau: float, y: float) -> float:

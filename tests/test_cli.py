@@ -1,7 +1,9 @@
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,7 +13,8 @@ import pytest
 import xi_ineq
 from xi_ineq.cli import main, render_json
 from xi_ineq.config import DEFAULT_CONFIG, config_from_mapping, parse_config_text
-from xi_ineq.modulus import constants, w_cos_transform
+from xi_ineq.modulus import (a_coeff, constants, power_series_coeffs,
+                             w_cos_transform)
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +188,15 @@ class TestCommands:
                 "--samples", "2000", "--seed", "3")
         assert w_cos_transform.cache_info().misses == 4
 
+    def test_coeffs_reuses_the_series_a_coeffs(self, capsys):
+        # c(k) reads a(k), a(k-1) and a(k-2): 11 distinct values for K = 10
+        a_coeff.cache_clear()
+        power_series_coeffs(0.75, 10)
+        assert a_coeff.cache_info().misses == 11
+        code, _ = run_cli(capsys, "coeffs", "--sigma", "0.75", "--kmax", "10")
+        assert code == 0
+        assert a_coeff.cache_info().misses == 11
+
     def test_autocorr_zero_scan_reuses_the_table_grid(self, capsys):
         # the zero scan visits the floats k * step of the table, so 21 grid
         # points (t = 0 is the normalization) cost 21 transforms
@@ -230,6 +242,17 @@ class TestCommands:
                               text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_every_cache_is_bounded(self):
+        bounds = {}
+        for info in pkgutil.iter_modules(xi_ineq.__path__, "xi_ineq."):
+            module = importlib.import_module(info.name)
+            for name, obj in vars(module).items():
+                if callable(obj) and hasattr(obj, "cache_info"):
+                    bounds[f"{info.name}.{name}"] = obj.cache_info().maxsize
+        assert {"xi_ineq.theta.divisor_sigma", "xi_ineq.theta._j_table",
+                "xi_ineq.modulus.a_coeff", "xi_ineq.modulus._j_lin_cub"} <= set(bounds)
+        assert all(isinstance(m, int) for m in bounds.values()), bounds
 
     def test_constants_one_cache_entry_whatever_the_call_form(self):
         constants.cache_clear()

@@ -8,7 +8,7 @@ from scipy.stats import kstest
 from conftest import w_moment_reference, xi_mod_sq_reference
 from xi_ineq import modulus
 from xi_ineq.errors import DomainError
-from xi_ineq.inequality import (_W_CUT, XSigmaSampler, _scaled_moments,
+from xi_ineq.inequality import (_W_CUT, XSigmaSampler, _density, _scaled_moments,
                                 _w_table, autocorrelation_A, bisect_zero,
                                 check_poly_min_criterion, K_fourier, K_sigma,
                                 lemb_moment_bound, mc_check, mm_bound,
@@ -247,9 +247,23 @@ class TestSampler:
         # without reading W is exact only if W stays below both everywhere
         s = XSigmaSampler(0.75, cfg)
         grid = np.linspace(0.0, _W_CUT, 2 ** 20)
-        w = np.concatenate([s.w_table(part) for part in np.split(grid, 256)])
+        w = s.w_table(grid)
         assert np.all(w <= s._squeeze(grid))
         assert np.all(w <= s._accept_ceiling * s.envelope)
+
+    def test_density_on_many_points_stays_small_in_memory(self, cfg):
+        # the output holds 8 MB and one block of temporaries 36 MB; an unblocked
+        # call held 576 MB
+        values = _w_table(0.75, cfg)
+        x = np.linspace(0.0, _W_CUT, 2 ** 20)
+        tracemalloc.start()
+        try:
+            dens = _density(values, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dens.shape == x.shape
+        assert peak < 64 * 2 ** 20
 
     def test_squeeze_changes_no_decision(self, cfg, monkeypatch):
         s = XSigmaSampler(0.75, cfg)

@@ -1,0 +1,72 @@
+"""Bit-identity guard for the hot series kernels.
+
+The theta series, J_tau and Gcal are summed with precomputed per-term
+constants.  Each value below is the float.hex of the plain term-by-term sum,
+in which every term was formed factor by factor; a kernel rewrite that moves
+any rounding fails here, however small the change.
+"""
+
+import pytest
+
+from xi_ineq import theta
+from xi_ineq.modulus import calG
+
+# y = 0.05 takes a few hundred terms, so the J tables grow; y = 3 stops at the floor
+BITS_J = {   # (tau, y, deriv)
+    (0.25, 0.05, 0): '0x1.83edd979496aap+2',
+    (0.25, 0.05, 1): '-0x1.77842c9c5e887p+7',
+    (0.25, 0.05, 2): '0x1.1bf79d776e22fp+13',
+    (0.25, 0.05, 3): '-0x1.2b5629c59d9dap+19',
+    (0.25, 3.0, 0): '0x1.bf879141d0be2p-28',
+    (0.25, 3.0, 1): '-0x1.5f7d2881064edp-25',
+    (0.25, 3.0, 2): '0x1.140f09cc5413fp-22',
+    (0.25, 3.0, 3): '-0x1.b1a1d02e05d2cp-20',
+    (0.05, 0.05, 0): '0x1.720ea316dfa73p+2',
+    (0.05, 0.05, 1): '-0x1.5d63e5dd298e1p+7',
+    (0.05, 0.05, 2): '0x1.0278756a6ec62p+13',
+    (0.05, 0.05, 3): '-0x1.0b7fc03c9fdd6p+19',
+    (0.05, 3.0, 0): '0x1.bf87914066f41p-28',
+    (0.05, 3.0, 1): '-0x1.5f7d287ece02cp-25',
+    (0.05, 3.0, 2): '0x1.140f09c8d7663p-22',
+    (0.05, 3.0, 3): '-0x1.b1a1d0231163bp-20',
+    (-0.2, 0.05, 0): '0x1.7d2742d892a7fp+2',
+    (-0.2, 0.05, 1): '-0x1.6d94416b7b0bbp+7',
+    (-0.2, 0.05, 2): '0x1.123d4fbef8a3fp+13',
+    (-0.2, 0.05, 3): '-0x1.1f27d44259bd8p+19',
+    (-0.2, 3.0, 0): '0x1.bf87914148de4p-28',
+    (-0.2, 3.0, 1): '-0x1.5f7d288030e07p-25',
+    (-0.2, 3.0, 2): '0x1.140f09cb04d24p-22',
+    (-0.2, 3.0, 3): '-0x1.b1a1d029e8954p-20',
+}
+BITS_THETA = {   # (function, y)
+    ('theta_R', 0.7): '0x1.bba9c8860bfeap-2',
+    ('theta_R_prime', 0.7): '-0x1.f627d78206701p+0',
+    ('theta_H', 0.7): '0x1.2ead8a9a40d62p-1',
+    ('theta_R', 1.6): '0x1.51211731336dap-11',
+    ('theta_R_prime', 1.6): '-0x1.a7a62ce9cbbc1p-8',
+    ('theta_H', 1.6): '0x1.152be59fbc5d1p-3',
+}
+BITS_CALG = {   # (sigma, lam, deriv)
+    (0.75, 1.0, 0): '0x1.3fb640a67e3ebp-9',
+    (0.75, 1.0, 1): '-0x1.ce8e9cf981d57p-7',
+    (0.75, 1.0, 2): '0x1.4a70d1de10b24p-4',
+    (0.75, 1.0, 3): '-0x1.d105202446092p-2',
+    (0.6, 0.4, 0): '0x1.4c5f373c4caadp-4',
+    (0.9, 2.5, 0): '0x1.2fbb25ab8b431p-22',
+}
+
+
+@pytest.mark.parametrize("key", sorted(BITS_J))
+def test_J_tau_bits(key):
+    assert theta.J_tau(*key).hex() == BITS_J[key]
+
+
+@pytest.mark.parametrize("key", sorted(BITS_THETA))
+def test_theta_bits(key):
+    name, y = key
+    assert getattr(theta, name)(y).hex() == BITS_THETA[key]
+
+
+@pytest.mark.parametrize("key", sorted(BITS_CALG))
+def test_calG_bits(key):
+    assert calG(*key).hex() == BITS_CALG[key]

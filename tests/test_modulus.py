@@ -4,7 +4,7 @@ import pytest
 from scipy.special import kv
 
 from conftest import w_moment_reference, xi_mod_sq_reference
-from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, a_coeff, c_coeff,
+from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _j_lin_cub, a_coeff, c_coeff,
                              calG, calH, calH_derivs_at_0, constants,
                              modulus_rhs, modulus_rhs_via_J,
                              power_series_coeffs, w_cos_transform)
@@ -191,6 +191,12 @@ class TestJEtaRoute:
         got = modulus_rhs_via_J(tau, t, cfg)
         want = 2.0 * xi_mod_sq(tau + 0.5, t, cfg)
         assert abs(got - want) <= 1e-5 * abs(want)
+
+    def test_t_independent_integrals_once_per_tau(self, cfg):
+        _j_lin_cub.cache_clear()
+        for t in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 14.2, 20.0):
+            modulus_rhs_via_J(0.3, t, cfg)
+        assert _j_lin_cub.cache_info().misses == 1
 
     def test_cross_route_consistency(self, cfg):
         a = modulus_rhs_via_J(0.1, 1.0, cfg)

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from xi_ineq.errors import DomainError
+from xi_ineq import theta
+from xi_ineq.config import EvalConfig
+from xi_ineq.errors import ConvergenceError, DomainError
 from xi_ineq.theta import (J_tau, divisor_sigma, eta_tau, stable_combo_A,
                            stable_combo_B, sup_constant_C, sup_constant_Cn,
                            theta_G, theta_H, theta_R, theta_R_prime,
@@ -157,6 +159,28 @@ class TestJTau:
 
     def test_tau_symmetry_at_zero(self, cfg):
         assert J_tau(0.0, 1.5, 0, cfg) == J_tau(-0.0, 1.5, 0, cfg)
+
+    # y = 0.01 grows the tables; y = 0.001 takes more terms than a table keeps
+    @pytest.mark.parametrize("y, min_terms", [(0.01, 500), (0.001, 4097)])
+    def test_long_sums_equal_the_plain_sum(self, cfg, y, min_terms):
+        tau, deriv = 0.25, 2
+        total = 0.0
+        for k in range(1, cfg.series_max_terms + 1):
+            a = 2.0 * math.pi * k * y
+            term = 0.0 if a > 745.0 else (divisor_sigma(k, 2.0 * tau) * float(k) ** (-tau)
+                                          * (-2.0 * math.pi * k) ** deriv * math.exp(-a))
+            total += term
+            if k >= 6 and abs(term) <= cfg.series_tol * abs(total):
+                break
+        assert k >= min_terms
+        assert J_tau(tau, y, deriv, cfg) == total
+        assert len(theta._j_table(tau, deriv)) <= theta._J_TABLE_TERMS
+
+    def test_series_cap_raises(self):
+        # the cap (10) lies inside the first table block (16 terms)
+        with pytest.raises(ConvergenceError) as exc:
+            J_tau(0.25, 0.01, 0, EvalConfig(series_max_terms=10))
+        assert exc.value.partial > 0.0
 
     def test_tau_reflection_swaps_weights_only(self, cfg):
         # (n/m)^tau vs (n/m)^-tau: equal after summing symmetric (m,n) pairs
