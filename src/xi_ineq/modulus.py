@@ -172,29 +172,19 @@ def calG(sigma: float, lam: float, deriv: int = 0,
     u_max = _f_cosh_cutoff(terms[0][0], cfg)
     scale = 2.0 ** (-tau)
 
-    if deriv == 0:
-        # w * _f_poly(0, mu, c) is w * mu: one constant per term
-        weights = [(2.0 * mu, w * mu) for mu, w in terms]
+    # w * _f_poly(0, mu, c) is w * mu: for deriv 0 (every Hcal and W call) the
+    # whole coefficient is one constant per term
+    weights = [(2.0 * mu, w * mu if deriv == 0 else w, mu) for mu, w in terms]
 
-        def integrand(u):
-            c = math.cosh(u)
-            acc = 0.0
-            for two_mu, w_mu in weights:
-                a = two_mu * c
-                if a > _EXP_UNDERFLOW:
-                    break
-                acc += w_mu * math.exp(-a)
-            return scale * acc * math.cosh(tau * u)
-    else:
-        def integrand(u):
-            c = math.cosh(u)
-            acc = 0.0
-            for mu, w in terms:
-                a = 2.0 * mu * c
-                if a > _EXP_UNDERFLOW:
-                    break
-                acc += w * _f_poly(deriv, mu, c) * math.exp(-a)
-            return scale * acc * math.cosh(tau * u)
+    def integrand(u):
+        c = math.cosh(u)
+        acc = 0.0
+        for two_mu, coef, mu in weights:
+            a = two_mu * c
+            if a > _EXP_UNDERFLOW:
+                break
+            acc += (coef * _f_poly(deriv, mu, c) if deriv else coef) * math.exp(-a)
+        return scale * acc * math.cosh(tau * u)
 
     return integrate_finite(integrand, 0.0, u_max, cfg,
                             abs_tol=1e-300 if abs_tol is None else abs_tol).value

@@ -25,13 +25,16 @@ _EXP_UNDERFLOW = 745.0  # exp(-746) underflows to 0 in binary64
 _MIN_TERMS = 6
 
 
-def _cap_reached(cfg: EvalConfig, total: float) -> ConvergenceError:
-    return ConvergenceError(f"series cap {cfg.series_max_terms} reached", partial=total)
-
-
-# Every series below sums its terms n = 1, 2, ... inline and stops at the first
-# n >= _MIN_TERMS with |term_n| <= series_tol * |partial sum|; a term whose
-# exponent passes _EXP_UNDERFLOW is 0 and so ends the sum once n >= _MIN_TERMS.
+def _series(term, cfg: EvalConfig) -> float:
+    """Sum term(1), term(2), ... with relative-tail stopping (floor 6 terms)."""
+    total = 0.0
+    for n in range(1, cfg.series_max_terms + 1):
+        t = term(n)
+        total += t
+        if n >= _MIN_TERMS and abs(t) <= cfg.series_tol * abs(total):
+            return total
+    raise ConvergenceError(
+        f"series cap {cfg.series_max_terms} reached", partial=total)
 
 
 def theta_R(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -41,15 +44,11 @@ def theta_R(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     if y < 1.0:
         return (1.0 - y + theta_R(1.0 / y, cfg)) / y
 
-    tol = cfg.series_tol
-    total = 0.0
-    for n in range(1, cfg.series_max_terms + 1):
+    def term(n):
         a = math.pi * n * n * y * y
-        term = 0.0 if a > _EXP_UNDERFLOW else 2.0 * math.exp(-a)
-        total += term
-        if n >= _MIN_TERMS and abs(term) <= tol * abs(total):
-            return total
-    raise _cap_reached(cfg, total)
+        return 0.0 if a > _EXP_UNDERFLOW else 2.0 * math.exp(-a)
+
+    return _series(term, cfg)
 
 
 def theta_R_prime(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -60,16 +59,11 @@ def theta_R_prime(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
         inv = 1.0 / y
         return -theta_R_prime(inv, cfg) * inv ** 3 - (1.0 + theta_R(inv, cfg)) * inv ** 2
 
-    tol = cfg.series_tol
-    scale = -4.0 * math.pi * y
-    total = 0.0
-    for n in range(1, cfg.series_max_terms + 1):
+    def term(n):
         a = math.pi * n * n * y * y
-        term = 0.0 if a > _EXP_UNDERFLOW else scale * n * n * math.exp(-a)
-        total += term
-        if n >= _MIN_TERMS and abs(term) <= tol * abs(total):
-            return total
-    raise _cap_reached(cfg, total)
+        return 0.0 if a > _EXP_UNDERFLOW else -4.0 * math.pi * y * n * n * math.exp(-a)
+
+    return _series(term, cfg)
 
 
 def theta_G(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -83,20 +77,14 @@ def theta_H(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     if y < 1.0:
         return theta_H(1.0 / y, cfg) / y
 
-    tol = cfg.series_tol
-    four_pi, two_pi = 4.0 * math.pi, 2.0 * math.pi
-    total = 0.0
-    for n in range(1, cfg.series_max_terms + 1):
+    def term(n):
         a = math.pi * n * n * y * y
         if a > _EXP_UNDERFLOW:
-            term = 0.0
-        else:
-            ny2 = (n * y) ** 2
-            term = four_pi * (two_pi * ny2 * ny2 - 3.0 * ny2) * math.exp(-a)
-        total += term
-        if n >= _MIN_TERMS and abs(term) <= tol * abs(total):
-            return total
-    raise _cap_reached(cfg, total)
+            return 0.0
+        ny2 = (n * y) ** 2
+        return 4.0 * math.pi * (2.0 * math.pi * ny2 * ny2 - 3.0 * ny2) * math.exp(-a)
+
+    return _series(term, cfg)
 
 
 def stable_combo_A(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -152,9 +140,8 @@ def divisor_sigma(k: int, a: float) -> float:
     return total
 
 
-_J_TABLES = 64          # (tau, deriv) tables kept, least recently used dropped first
-_J_TABLE_TERMS = 4096   # terms a table keeps; later ones are rebuilt on each call
-_J_FIRST_TERMS = 16     # a new table's length; it doubles when a call needs more
+_J_TABLES = 64        # (tau, deriv) tables kept, least recently used dropped first
+_J_FIRST_TERMS = 16   # terms a table keeps; a call at y >= 1 stops within 8
 
 
 def _j_block(tau: float, deriv: int, start: int, stop: int) -> list:
@@ -166,7 +153,7 @@ def _j_block(tau: float, deriv: int, start: int, stop: int) -> list:
 
 @lru_cache(maxsize=_J_TABLES)
 def _j_table(tau: float, deriv: int) -> list:
-    """The first terms' constants of J_tau's series; J_tau appends to it."""
+    """The first terms' constants of J_tau's series."""
     return _j_block(tau, deriv, 0, _J_FIRST_TERMS)
 
 
@@ -180,9 +167,10 @@ def J_tau(tau: float, y: float, deriv: int = 0,
 
     so each y-derivative just brings down (-2 pi k)^deriv.  The constants
     2 pi k and sigma_{2tau}(k) k^{-tau} (-2 pi k)^deriv come from a table kept
-    per (tau, deriv); each term is their product with exp(-2 pi k y), the
-    value the factor-by-factor product gives.  `naive=True` keeps the raw
-    double sum (test oracle; both indices capped by series_max_terms).
+    per (tau, deriv), and past its first terms from a block formed on the call;
+    each term is their product with exp(-2 pi k y), the value the
+    factor-by-factor product gives.  `naive=True` keeps the raw double sum
+    (test oracle; both indices capped by series_max_terms).
     """
     if not y > 0.0:
         raise DomainError(f"J_tau needs y > 0, got {y!r}")
@@ -206,8 +194,9 @@ def J_tau(tau: float, y: float, deriv: int = 0,
 
     tol = cfg.series_tol
     cap = cfg.series_max_terms
-    table = _j_table(tau, deriv)
-    block = table if len(table) <= cap else table[:cap]
+    block = _j_table(tau, deriv)
+    if len(block) > cap:
+        block = block[:cap]
     total = 0.0
     k = 0
     while True:
@@ -219,10 +208,8 @@ def J_tau(tau: float, y: float, deriv: int = 0,
             if k >= _MIN_TERMS and abs(term) <= tol * abs(total):
                 return total
         if k >= cap:
-            raise _cap_reached(cfg, total)
+            raise ConvergenceError(f"series cap {cap} reached", partial=total)
         block = _j_block(tau, deriv, k, min(2 * k, cap))
-        if len(table) == k and 2 * k <= _J_TABLE_TERMS:
-            table.extend(block)
 
 
 def eta_tau(tau: float, y: float) -> float:
