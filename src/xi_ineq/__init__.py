@@ -12,7 +12,7 @@ from .inequality import (MCReport, ScanReport, TruncationLevels, K_fourier,
 from .modulus import (ConstantsReport, PowerSeriesCoeffs, F_sigma, S_T_constants,
                       W_sigma, a_coeff, c_coeff, calG, calH, calH_derivs_at_0,
                       constants, modulus_rhs, modulus_rhs_via_J,
-                      power_series_coeffs, w_cos_transform)
+                      power_series_coeffs, w_cos_fixed, w_cos_transform)
 from .quadrature import (QuadResult, integrate_eta_weighted, integrate_finite,
                          integrate_oscillatory_cos, integrate_semi_infinite)
 from .theta import (J_tau, divisor_sigma, eta_tau, stable_combo_A,

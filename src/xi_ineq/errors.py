@@ -6,10 +6,12 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A series or quadrature failed to meet its tolerance within its caps.
+    """A series or quadrature failed to meet its tolerance within its caps, or a
+    certification of its result failed.
 
     `partial` carries the best estimate available when the failure was raised
-    (a float or a QuadResult), so callers can still inspect it.
+    (a float or a QuadResult), or the certification's worst deviation, so
+    callers can still inspect it.
     """
 
     def __init__(self, message, partial=None):

@@ -25,9 +25,9 @@ import numpy as np
 from numpy.polynomial import Chebyshev
 
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
-from .errors import DomainError
-from .modulus import (calH, constants, modulus_rhs_via_J, w_cos_transform,
-                      W_sigma)
+from .errors import ConvergenceError, DomainError
+from .modulus import (_BLOCK, _FEJER, _NODES, _W_CUT, _X, _density, _w_table,
+                      calH, constants, modulus_rhs_via_J, w_cos_fixed, W_sigma)
 from .quadrature import integrate_finite
 from .theta import sup_constant_C, sup_constant_Cn
 
@@ -95,7 +95,7 @@ def scan_inequality(sigma: float, t_max: float, step: float,
 
         def value_err(t):
             poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
-            cos_int = w_cos_transform(sigma, t, cfg)
+            cos_int = w_cos_fixed(sigma, t, cfg)
             v = s_val + t_val * t * t + poly * cos_int
             e = 20.0 * cfg.quad_abs_tol * max(poly, 1.0) + 1e-12 * abs(v)
             return v, e
@@ -127,46 +127,6 @@ def scan_inequality(sigma: float, t_max: float, step: float,
 # ---------------------------------------------------------------------------
 
 _MOMENT_CAP = 200   # (2n)! growth makes terms vanish far below this in practice
-_W_CUT = 2.4        # W's support cut: the mass of W e^{-sigma x} beyond is < 1e-25
-_NODES = 64         # Hcal is analytic on [0, _W_CUT]: 64 nodes resolve it to rounding
-_THETA = (2 * np.arange(_NODES) + 1) * math.pi / (2 * _NODES)
-_X = 0.5 * _W_CUT * (1.0 - np.cos(_THETA))       # Chebyshev points of the first kind
-_BARY = (-1.0) ** np.arange(_NODES) * np.sin(_THETA)     # their barycentric weights
-_K = np.arange(1, _NODES // 2 + 1)   # Fejer type-1 weights (Waldvogel, BIT 46, 2006)
-_FEJER = 1.0 - 2.0 * (np.cos(2.0 * np.outer(_THETA, _K)) / (4 * _K * _K - 1)).sum(axis=1)
-
-
-_BLOCK = 1 << 16     # points per block of _density, and the sampler's candidates per chunk
-
-
-def _density(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The polynomial through `values` at the nodes _X, at the points x (1-d), by the barycentric
-    second form (Berrut & Trefethen, SIAM Review 46, 2004).  Points go in blocks of _BLOCK
-    with 64 floats of temporaries each; no call of the sampler's is split."""
-    weighted = np.stack([_BARY * values, _BARY], axis=1)
-    out = np.empty(len(x))
-    for i in range(0, len(x), _BLOCK):
-        d = np.subtract.outer(x[i:i + _BLOCK], _X)
-        d[d == 0.0] = 1e-300   # x on a node: that node's term decides alone
-        num_den = np.reciprocal(d, out=d) @ weighted
-        out[i:i + _BLOCK] = num_den[:, 0] / num_den[:, 1]
-        del d   # freed before the next block is allocated
-    return out
-
-
-@config_cache(maxsize=32)
-def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma at the nodes _X: through
-    `_density`, the density that the moments integrate and the sampler draws
-    from, certified against the closed form of W to 1e-8 absolute at 57 probes."""
-    values = 2.0 ** (sigma + 1.5) / math.pi * np.array([calH(sigma, float(x), cfg) for x in _X])
-    probes = np.concatenate([(0.5 * (_X[1:] + _X[:-1]))[::4],
-                             np.linspace(1.7e-3, _W_CUT - 1e-3, 41)])
-    ws = _density(values, probes) * np.exp(sigma * probes)
-    worst = max(abs(w - W_sigma(sigma, float(x), "closed", cfg)) for x, w in zip(probes, ws))
-    if worst > 1e-8:
-        raise RuntimeError(f"W table certification failed: err {worst:.2e}")
-    return values
 
 
 def _cos_taylor_terms(sigma: float, N1: int, n_hi: int, t: float, cfg: EvalConfig):
@@ -174,10 +134,12 @@ def _cos_taylor_terms(sigma: float, N1: int, n_hi: int, t: float, cfg: EvalConfi
     [0, min(N1, _W_CUT)]; running products keep each (tx)^{2n}/(2n)! < e^{tx}."""
     b = min(float(N1), _W_CUT)
     xs = b / _W_CUT * _X
+    values = _w_table(sigma, cfg).values
+    dens = values if b == _W_CUT else _density(values, xs)   # at b = _W_CUT, xs is _X
     k = np.arange(1, n_hi + 1)
     steps = np.outer(1.0 / ((2 * k - 1) * (2 * k)), (t * xs) ** 2)
     powers = np.vstack([np.ones_like(xs), np.cumprod(steps, axis=0)])
-    return powers @ (b / _NODES * _FEJER * _density(_w_table(sigma, cfg), xs))
+    return powers @ (b / _NODES * _FEJER * dens)
 
 
 @config_cache(maxsize=64)
@@ -316,7 +278,7 @@ class XSigmaSampler:
             raise DomainError(f"sampler needs sigma in (1/2,1), got {sigma!r}")
         self.sigma = sigma
         self.envelope = 2.0 * sup_constant_C(cfg) ** 2
-        self._values = _w_table(sigma, cfg)
+        self._values = _w_table(sigma, cfg).values
         # the density's Chebyshev coefficients bound |W'| = |(dens' + sigma dens) e^{sigma x}|
         dens = Chebyshev.interpolate(lambda x: _density(self._values, x), _NODES - 1, [0.0, _W_CUT])
         slope = (np.abs(dens.deriv().coef).sum()
@@ -327,7 +289,8 @@ class XSigmaSampler:
         self._bin_bound = np.append(bins, [bins[-1], 0.0])
         self._accept_ceiling = float(self._bin_bound.max()) / self.envelope
         if self._accept_ceiling >= 1.0:
-            raise RuntimeError("envelope 2C^2 violated by the W table")
+            excess = float(self._bin_bound.max()) - self.envelope
+            raise ConvergenceError(f"envelope 2C^2 violated by the W table by {excess:.2e}", excess)
         self._cum = dens.integ(lbnd=0.0)
         self._norm = float(self._cum(_W_CUT))
 
@@ -407,7 +370,7 @@ def mm_bound(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Right side of the expectation inequality:
     -(S + T t^2) / (Z (t^2+(1-sigma)^2)(t^2+sigma^2)), Z = int W e^{-sigma x} dx."""
     s_val, t_val = constants(sigma, cfg)
-    z = w_cos_transform(sigma, 0.0, cfg)
+    z = w_cos_fixed(sigma, 0.0, cfg)
     poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
     return -(s_val + t_val * t * t) / (z * poly)
 
@@ -421,8 +384,7 @@ def mc_check(sigma: float, t: float, n_samples: int, seed: int,
     cos_vals = np.cos(t * xs)
     estimate = float(np.mean(cos_vals))
     std_error = float(np.std(cos_vals, ddof=1) / math.sqrt(n_samples))
-    z = w_cos_transform(sigma, 0.0, cfg)
-    deterministic = w_cos_transform(sigma, t, cfg) / z
+    deterministic = w_cos_fixed(sigma, t, cfg) / w_cos_fixed(sigma, 0.0, cfg)
     return MCReport(sigma, t, estimate, std_error, n_samples, acc_rate, seed,
                     deterministic)
 
@@ -454,7 +416,7 @@ def K_fourier(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float
     """
     s_val, t_val = constants(sigma, cfg)
     h_part = (sigma * (1.0 - sigma) * (2.0 * sigma - 1.0)
-              * 2.0 * w_cos_transform(sigma, t, cfg))
+              * 2.0 * w_cos_fixed(sigma, t, cfg))
     a1 = 1.0 - sigma
     e1 = sigma * (s_val - t_val * (1.0 - sigma) ** 2) * 2.0 * a1 / (a1 * a1 + t * t)
     e2 = (1.0 - sigma) * (s_val - t_val * sigma * sigma) * 2.0 * sigma / (sigma * sigma + t * t)

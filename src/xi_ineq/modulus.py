@@ -22,12 +22,18 @@ where Hcal_sigma(x) = Gcal_sigma(e^x) e^{-x/2} and
 The same objects reappear in the J/eta parametrization: the t=0 moments a(k),
 the power-series coefficients c(k) of |xi|^2 in t^2, and the direct double
 integral route used by the positivity scan.
+
+Every reader of the cosine transform takes it from one certified table of
+W e^{-sigma x} per sigma (`_w_table`) by a fixed Fejer rule (`w_cos_fixed`); the
+adaptive `w_cos_transform` stays as its independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError
@@ -237,16 +243,97 @@ def W_sigma(sigma: float, x: float, form: str = "closed",
     raise ValueError(f"unknown W_sigma form {form!r}")
 
 
+# ---------------------------------------------------------------------------
+# The W table: W e^{-sigma x} at fixed nodes, once per sigma, and its cosine
+# transform by a fixed rule
+# ---------------------------------------------------------------------------
+
+_W_CUT = 2.4        # W's support cut: the mass of W e^{-sigma x} beyond is < 1e-25
+_NODES = 64         # Hcal is analytic on [0, _W_CUT]: 64 nodes resolve it to rounding
+_T_NODES = 128      # the transform's rule: 64 nodes are 5e-11 off at t = 30, 128 are 5e-14
+_BLOCK = 1 << 16    # points per block of _density, and the sampler's candidates per chunk
+
+
+def _chebyshev_fejer(n: int) -> tuple:
+    """The angles and the n Chebyshev points of the first kind on [0, _W_CUT], and
+    their Fejer type-1 weights (Waldvogel, BIT 46, 2006), which sum to n."""
+    theta = (2 * np.arange(n) + 1) * math.pi / (2 * n)
+    k = np.arange(1, n // 2 + 1)
+    fejer = 1.0 - 2.0 * (np.cos(2.0 * np.outer(theta, k)) / (4 * k * k - 1)).sum(axis=1)
+    return theta, 0.5 * _W_CUT * (1.0 - np.cos(theta)), fejer
+
+
+_THETA, _X, _FEJER = _chebyshev_fejer(_NODES)
+_BARY = (-1.0) ** np.arange(_NODES) * np.sin(_THETA)     # barycentric weights of _X
+_PROBES = np.concatenate([(0.5 * (_X[1:] + _X[:-1]))[::4],
+                          np.linspace(1.7e-3, _W_CUT - 1e-3, 41)])
+_, _XT, _FEJER_T = _chebyshev_fejer(_T_NODES)
+
+
+def _density(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial through `values` at the nodes _X, at the points x (1-d), by the barycentric
+    second form (Berrut & Trefethen, SIAM Review 46, 2004).  Points go in blocks of _BLOCK
+    with 64 floats of temporaries each; no call of the sampler's is split."""
+    weighted = np.stack([_BARY * values, _BARY], axis=1)
+    out = np.empty(len(x))
+    for i in range(0, len(x), _BLOCK):
+        d = np.subtract.outer(x[i:i + _BLOCK], _X)
+        d[d == 0.0] = 1e-300   # x on a node: that node's term decides alone
+        num_den = np.reciprocal(d, out=d) @ weighted
+        out[i:i + _BLOCK] = num_den[:, 0] / num_den[:, 1]
+        del d   # freed before the next block is allocated
+    return out
+
+
+@dataclass(frozen=True)
+class WTable:
+    """One sigma's W e^{-sigma x}: `values` at the nodes _X, which `_density` reads,
+    and the Fejer masses w_j W e^{-sigma x_j} at the nodes _XT, so that
+    int_0^inf W e^{-sigma x} cos(tx) dx is cos(t _XT) @ masses.  Both read-only."""
+    values: np.ndarray
+    masses: np.ndarray
+
+
+@config_cache(maxsize=32)
+def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> WTable:
+    """W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma at the nodes _X, with Hcal at the
+    cosine transform's absolute target 0.1 quad_abs_tol.  `_density` through them is the
+    density that the transform, the moments and the sampler read; it is certified
+    against Hcal at the same target, to 1e-8 absolute in W, at the 57 _PROBES, and
+    ConvergenceError (partial: the worst deviation) is raised when it misses."""
+    pref = 2.0 ** (sigma + 1.5) / math.pi
+    abs_tol = 0.1 * cfg.quad_abs_tol
+
+    def w_exp(xs):
+        return pref * np.array([calH(sigma, float(x), cfg, abs_tol=abs_tol) for x in xs])
+
+    values = w_exp(_X)
+    worst = float(np.max(np.abs(_density(values, _PROBES) - w_exp(_PROBES))
+                         * np.exp(sigma * _PROBES)))
+    if worst > 1e-8:
+        raise ConvergenceError(
+            f"W table certification failed at sigma={sigma!r}: err {worst:.2e} > 1e-8", worst)
+    masses = _W_CUT / _T_NODES * _FEJER_T * _density(values, _XT)
+    values.flags.writeable = masses.flags.writeable = False
+    return WTable(values, masses)
+
+
+def w_cos_fixed(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+    """int_0^inf W_sigma(x) e^{-sigma x} cos(tx) dx by the fixed 128-node Fejer rule
+    on `_w_table`'s certified density: one dot product per t."""
+    return float(np.cos(t * _XT) @ _w_table(sigma, cfg).masses)
+
+
 def _w_exp_cutoff(cfg: EvalConfig) -> float:
     # Hcal(x) ~ exp(-2 pi (e^x - 1)); cut when that passes working tolerance
     target = math.log(20.0 / cfg.quad_abs_tol) + 6.0
     return math.log(1.0 + target / (2.0 * math.pi))
 
 
-@config_cache(maxsize=256)
 def w_cos_transform(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """int_0^inf W_sigma(x) e^{-sigma x} cos(tx) dx, through the closed form
-    (the integrand is 2^{sigma+3/2} pi^{-1} Hcal_sigma(x)), cached."""
+    """int_0^inf W_sigma(x) e^{-sigma x} cos(tx) dx, adaptively through the closed
+    form (the integrand is 2^{sigma+3/2} pi^{-1} Hcal_sigma(x)): the independent
+    cross-check of `w_cos_fixed`, which the library itself reads."""
     pref = 2.0 ** (sigma + 1.5) / math.pi
     result = integrate_oscillatory_cos(
         lambda x: pref * calH(sigma, x, cfg, abs_tol=0.1 * cfg.quad_abs_tol), t, 0.0,
@@ -447,7 +534,7 @@ def modulus_rhs(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> flo
         raise DomainError(f"modulus_rhs needs sigma in (0,1), got {sigma!r}")
     s_val, t_val = constants(sigma, cfg)
     poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
-    return 0.5 * (s_val + t_val * t * t + poly * w_cos_transform(sigma, t, cfg))
+    return 0.5 * (s_val + t_val * t * t + poly * w_cos_fixed(sigma, t, cfg))
 
 
 def _j_u_cutoff(y: float, log_margin: float) -> float:

@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import re
@@ -13,8 +14,8 @@ import pytest
 import xi_ineq
 from xi_ineq.cli import main, render_json
 from xi_ineq.config import DEFAULT_CONFIG, config_from_mapping, parse_config_text
-from xi_ineq.modulus import (a_coeff, constants, power_series_coeffs,
-                             w_cos_transform)
+from xi_ineq import modulus
+from xi_ineq.modulus import _w_table, a_coeff, constants, power_series_coeffs
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +26,22 @@ def run_cli(capsys, *argv):
 
 def strip_timestamp(text: str) -> str:
     return re.sub(r'"timestamp":"[^"]*"', '"timestamp":""', text)
+
+
+def count_adaptive_transforms(monkeypatch) -> list:
+    """Record the frequency of every adaptive cosine transform of
+    W e^{-sigma x} that modulus starts, whoever calls it: those are the
+    transforms with W's decay rate 2 pi (the J route's inner ones decay at 1)."""
+    calls = []
+    adaptive = modulus.integrate_oscillatory_cos
+
+    def counted(*args, **kwargs):
+        if kwargs.get("decay_rate") == 2.0 * math.pi:
+            calls.append(args[1])
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(modulus, "integrate_oscillatory_cos", counted)
+    return calls
 
 
 class TestSerialization:
@@ -181,12 +198,15 @@ class TestCommands:
         assert code == 0
         assert constants.cache_info().misses == 1
 
-    def test_montecarlo_computes_each_transform_once(self, capsys):
-        # t = 1, 5, 10 plus the t = 0 normalization shared by every row
-        w_cos_transform.cache_clear()
+    def test_montecarlo_computes_each_transform_once(self, capsys, monkeypatch):
+        # every row and the t = 0 normalization read one W table; none of
+        # them runs an adaptive transform
+        adaptive = count_adaptive_transforms(monkeypatch)
+        _w_table.cache_clear()
         run_cli(capsys, "montecarlo", "--sigma", "0.75", "--t-list", "1,5,10",
                 "--samples", "2000", "--seed", "3")
-        assert w_cos_transform.cache_info().misses == 4
+        assert _w_table.cache_info().misses == 1
+        assert adaptive == []
 
     def test_coeffs_reuses_the_series_a_coeffs(self, capsys):
         # c(k) reads a(k), a(k-1) and a(k-2): 11 distinct values for K = 10
@@ -197,14 +217,41 @@ class TestCommands:
         assert code == 0
         assert a_coeff.cache_info().misses == 11
 
-    def test_autocorr_zero_scan_reuses_the_table_grid(self, capsys):
-        # the zero scan visits the floats k * step of the table, so 21 grid
-        # points (t = 0 is the normalization) cost 21 transforms
-        w_cos_transform.cache_clear()
+    def test_autocorr_zero_scan_reuses_the_table_grid(self, capsys, monkeypatch):
+        # the zero scan and the table's 21 grid points read one W table and
+        # run no adaptive transform
+        adaptive = count_adaptive_transforms(monkeypatch)
+        _w_table.cache_clear()
         code, _ = run_cli(capsys, "autocorr", "--sigma", "0.75", "--t-max", "2",
                           "--step", "0.1")
         assert code == 0
-        assert w_cos_transform.cache_info().misses == 21
+        assert _w_table.cache_info().misses == 1
+        assert adaptive == []
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--t-max", "2", "--step", "0.5"],
+        ["verify-modulus", "--sigma", "0.75", "--t-list", "0,1"],
+    ])
+    def test_representation_runs_no_adaptive_transform(self, capsys, monkeypatch, argv):
+        adaptive = count_adaptive_transforms(monkeypatch)
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert adaptive == []
+
+    def test_w_table_certification_failure_exits_2(self, capsys, monkeypatch):
+        # one node value 1e-7 off: the density misses the probes next to it
+        calH = modulus.calH
+        bad_node = float(modulus._X[8])
+
+        def off(sigma, x, cfg=DEFAULT_CONFIG, abs_tol=None):
+            return calH(sigma, x, cfg, abs_tol) + (1e-7 if x == bad_node else 0.0)
+
+        monkeypatch.setattr(modulus, "calH", off)
+        _w_table.cache_clear()
+        code = main(["scan", "--t-max", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "certification" in err
 
     @pytest.mark.parametrize("argv, mention", [
         (["autocorr", "--step", "-0.5"], "step"),

@@ -6,8 +6,8 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import w_moment_reference, xi_mod_sq_reference
-from xi_ineq import modulus
-from xi_ineq.errors import DomainError
+from xi_ineq import inequality, modulus
+from xi_ineq.errors import ConvergenceError, DomainError
 from xi_ineq.inequality import (_W_CUT, XSigmaSampler, _density, _scaled_moments,
                                 _w_table, autocorrelation_A, bisect_zero,
                                 check_poly_min_criterion, K_fourier, K_sigma,
@@ -254,7 +254,7 @@ class TestSampler:
     def test_density_on_many_points_stays_small_in_memory(self, cfg):
         # the output holds 8 MB and one block of temporaries 36 MB; an unblocked
         # call held 576 MB
-        values = _w_table(0.75, cfg)
+        values = _w_table(0.75, cfg).values
         x = np.linspace(0.0, _W_CUT, 2 ** 20)
         tracemalloc.start()
         try:
@@ -276,6 +276,12 @@ class TestSampler:
     def test_domain(self, cfg):
         with pytest.raises(DomainError):
             XSigmaSampler(0.3, cfg)
+
+    def test_envelope_violation_is_a_numerical_failure(self, cfg, monkeypatch):
+        monkeypatch.setattr(inequality, "sup_constant_C", lambda cfg: 1e-3)
+        with pytest.raises(ConvergenceError, match="envelope") as exc:
+            XSigmaSampler(0.75, cfg)
+        assert exc.value.partial > 0.0
 
 
 class TestMonteCarlo:

@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.special import kv
 
 from conftest import w_moment_reference, xi_mod_sq_reference
-from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _j_lin_cub, a_coeff, c_coeff,
-                             calG, calH, calH_derivs_at_0, constants,
+from xi_ineq import modulus
+from xi_ineq.errors import ConvergenceError
+from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _X, _j_lin_cub, _w_table, a_coeff,
+                             c_coeff, calG, calH, calH_derivs_at_0, constants,
                              modulus_rhs, modulus_rhs_via_J,
-                             power_series_coeffs, w_cos_transform)
+                             power_series_coeffs, w_cos_fixed, w_cos_transform)
 from xi_ineq.quadrature import integrate_finite
 from xi_ineq.theta import sup_constant_C
 from xi_ineq.xi import U_sigma, xi_mod_sq, xi_real
@@ -167,6 +170,50 @@ class TestConstants:
         rep = S_T_constants(1.5, "A_direct", cfg)
         assert "domain_warning" in rep.truncation
         assert math.isfinite(rep.s_value) and math.isfinite(rep.t_value)
+
+
+class TestWTable:
+    """The fixed-rule transform that every reader of the representation uses,
+    against the adaptive transform and mpmath, scaled as in criterion 3."""
+
+    @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.9])
+    def test_fixed_transform_matches_adaptive(self, cfg, sigma):
+        floor = xi_real(sigma, cfg) ** 2
+        for t in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 14.2, 20.0, 25.0, 30.0):
+            poly = (t * t + (1 - sigma) ** 2) * (t * t + sigma ** 2)
+            diff = w_cos_fixed(sigma, t, cfg) - w_cos_transform(sigma, t, cfg)
+            scale = max(floor, xi_mod_sq_reference(sigma, t))
+            assert 0.5 * poly * abs(diff) <= 2e-13 * scale, t
+
+    @pytest.mark.parametrize("t", [25.0, 30.0])
+    def test_representation_past_the_grid_matches_mpmath(self, cfg, t):
+        want = xi_mod_sq_reference(0.75, t)
+        scale = max(xi_real(0.75, cfg) ** 2, want)
+        assert abs(modulus_rhs(0.75, t, cfg) - want) <= 1e-12 * scale
+
+    def test_node_values_match_relative_target_hcal(self, cfg):
+        # the table's Hcal calls stop at an absolute target; relative
+        # acceptance takes five times the evaluations for the same values
+        pref = 2.0 ** (0.75 + 1.5) / math.pi
+        want = np.array([pref * calH(0.75, float(x), cfg) for x in _X])
+        assert np.max(np.abs(_w_table(0.75, cfg).values - want)) <= 1e-18
+
+    def test_certification_rejects_a_node_off_by_1e7(self, cfg, monkeypatch):
+        bad_node = float(_X[8])
+
+        def off(sigma, x, cfg=cfg, abs_tol=None):
+            return calH(sigma, x, cfg, abs_tol) + (1e-7 if x == bad_node else 0.0)
+
+        monkeypatch.setattr(modulus, "calH", off)
+        _w_table.cache_clear()
+        with pytest.raises(ConvergenceError, match="certification") as exc:
+            _w_table(0.75, cfg)
+        assert exc.value.partial > 1e-8
+
+    def test_table_is_read_only(self, cfg):
+        table = _w_table(0.75, cfg)
+        with pytest.raises(ValueError):
+            table.masses[0] = 0.0
 
 
 class TestModulusIdentity:
