@@ -119,7 +119,14 @@ def _emit(args, report: dict, rows: list, columns: list) -> None:
 
 
 def _floats(text: str) -> list:
-    return [float(part) for part in text.split(",") if part.strip()]
+    """The argparse type of every comma-list flag: a bad list is a usage error."""
+    try:
+        values = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    return values
 
 
 def _status_exit(status: str) -> int:
@@ -131,7 +138,7 @@ def _status_exit(status: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(args, cfg: EvalConfig) -> int:
-    sigmas = _floats(args.sigma)
+    sigmas = args.sigma
     if args.paper_truncation:
         methods = {"B": ["B_series"], "C": ["C_inversion"]}[args.paper_truncation]
     elif args.method == "all":
@@ -173,8 +180,7 @@ def cmd_constants(args, cfg: EvalConfig) -> int:
 
 
 def cmd_verify_modulus(args, cfg: EvalConfig) -> int:
-    sigmas = _floats(args.sigma)
-    ts = _floats(args.t_list)
+    sigmas, ts = args.sigma, args.t_list
 
     def one(sigma, t):
         oracle = xi_mod_sq(sigma, t, cfg)
@@ -202,7 +208,7 @@ def cmd_verify_modulus(args, cfg: EvalConfig) -> int:
 
 
 def cmd_scan(args, cfg: EvalConfig) -> int:
-    sigmas = _floats(args.sigma)
+    sigmas = args.sigma
     rows = []
     status = "pass"
     summaries = []
@@ -261,7 +267,7 @@ def cmd_montecarlo(args, cfg: EvalConfig) -> int:
     above it, and `indeterminate` in between."""
     sigma = args.sigma
     rows = []
-    for t in _floats(args.t_list):
+    for t in args.t_list:
         rep = mc_check(sigma, t, args.samples, args.seed, cfg)
         bound = mm_bound(sigma, t, cfg)
         within = abs(rep.estimate - rep.deterministic_value) <= 4.0 * max(rep.std_error, 1e-12)
@@ -287,7 +293,7 @@ def cmd_montecarlo(args, cfg: EvalConfig) -> int:
         status = "indeterminate"
     else:
         status = "pass"
-    report = _report("montecarlo", {"sigma": sigma, "t": _floats(args.t_list),
+    report = _report("montecarlo", {"sigma": sigma, "t": args.t_list,
                                     "samples": args.samples, "seed": args.seed},
                      {"rows": rows}, status)
     _emit(args, report, rows,
@@ -401,7 +407,8 @@ def _subcommand(subs, name: str, help_text: str, sigma: str | None = None):
     list --sigma (with this default) for the subcommands that loop over it."""
     sub = subs.add_parser(name, help=help_text)
     if sigma is not None:
-        sub.add_argument("--sigma", default=sigma, help="sigma value or comma list")
+        sub.add_argument("--sigma", type=_floats, default=sigma,
+                         help="sigma value or comma list")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", default="json", choices=["csv", "json"])
     sub.add_argument("--config", default=None, help="flat key=value config file")
@@ -421,7 +428,7 @@ def build_parser() -> _Parser:
                    choices=["B", "C"], help="use a published fixed-truncation recipe")
     p = _subcommand(subs, "verify-modulus", "representation vs oracle",
                     sigma="0.6,0.75")
-    p.add_argument("--t-list", dest="t_list", default="0,1,5,10")
+    p.add_argument("--t-list", dest="t_list", type=_floats, default="0,1,5,10")
     p = _subcommand(subs, "scan", "positivity scan", sigma="0.75")
     p.add_argument("--t-max", dest="t_max", type=float, default=20.0)
     p.add_argument("--step", type=float, default=0.25)
@@ -433,7 +440,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t-check", dest="t_check", type=float, default=1.0)
     p = _subcommand(subs, "montecarlo", "expectation inequality, sampled")
     p.add_argument("--sigma", type=float, default=0.75, help="one sigma value")
-    p.add_argument("--t-list", dest="t_list", default="1,5,10")
+    p.add_argument("--t-list", dest="t_list", type=_floats, default="1,5,10")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=12345)
     p = _subcommand(subs, "autocorr", "autocorrelation + zero scan")

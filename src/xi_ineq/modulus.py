@@ -6,9 +6,11 @@ The central identity evaluated here, for real sigma and t, is
         + (t^2+(1-sigma)^2)(t^2+sigma^2) int_0^inf W_sigma(x) e^{-sigma x} cos(tx) dx
 
 with W_sigma an exponential-twisted self-convolution of the theta series R.
-S_sigma and T_sigma are computed by three independent routes (A: R-integrals,
-B: F-series, C: R-integrals with the (0,1) part folded to (1,inf) by theta
-inversion); converged values of the three routes must agree, and two published
+S_sigma and T_sigma are computed by three independent routes: B, the F-series,
+is Hcal's derivatives at 0 (four Gcal integrals at 1); A and C share one
+R-integral expansion on (1, inf) and differ on (0,1), which A integrates through
+the inversion-stable combinations and C folds to (1, inf) by theta inversion.
+Converged values of the three routes must agree, and two published
 fixed-truncation recipes of routes B and C are implemented bit-faithfully for
 reproduction purposes.
 
@@ -155,6 +157,8 @@ def _g_weights(sigma: float, lam: float, deriv: int, cfg: EvalConfig):
         # geometric decay e^{-2 pi lam} per step makes a fixed small cap safe
         if p >= 6 and math.exp(-2.0 * (mu - math.pi * lam)) < cfg.series_tol:
             break
+    else:
+        raise ConvergenceError(f"Gcal product-sum cap {cfg.series_max_terms} reached")
     return out
 
 
@@ -349,89 +353,95 @@ _R_DECAY = math.pi           # R(y) <= 2 e^{-pi y^2} <= 2 e^{-pi y} for y >= 1
 _R_SCALE = 300.0             # safe envelope for the R'^2-type integrands
 
 
-def _st_method_A(sigma: float, cfg: EvalConfig):
-    """R-integral route; the half-line integral is split at 1 and the (0,1)
-    part evaluated with the inversion-stable combinations."""
-    s = sigma
-    R1 = theta_R(1.0, cfg)
-    R1p = theta_R_prime(1.0, cfg)
-    err = 0.0
-
-    def semi(f, scale=_R_SCALE):
-        nonlocal err
-        r = integrate_semi_infinite(f, 1.0, _R_DECAY, cfg, scale=scale)
-        err += r.err_est
+def _r_quad(cfg: EvalConfig, errs: list, lo: float, hi: float = None):
+    """Integration of the R-integrands over (lo, hi), or from lo upwards at R's
+    decay when hi is None: the value alone, with its err_est appended to `errs`."""
+    def value(f):
+        if hi is None:
+            r = integrate_semi_infinite(f, lo, _R_DECAY, cfg, scale=_R_SCALE)
+        else:
+            r = integrate_finite(f, lo, hi, cfg)
+        errs.append(r.err_est)
         return r.value
+    return value
 
-    def low(f):
-        nonlocal err
-        r = integrate_finite(f, 0.0, 1.0, cfg)
-        err += r.err_est
-        return r.value
 
-    def combo(y, coef):
-        return (y ** (2.0 * s - 2.0) * theta_R(y, cfg)
-                * (coef * stable_combo_A(y, cfg) + stable_combo_B(y, cfg)))
+def _r_expansion(s: float, R, Rp, iq, a, b):
+    """The R-integral expansion that routes A and C share, with R, R' as given and
+    `iq` integrating from 1 upwards.  a(y) = y R(y) + y - 1 and b(y) = y^2 R'(y) + 1
+    come in the form the route passes.
 
-    s_value = (
+    Returns S's boundary terms at y = 1 plus its four R-integrals, and the
+    combination integrand y^{2s-2} R(y) (coef a(y) + b(y)) as a function of coef
+    (1 - s for S, s for T).  The routes differ only in how they cover (0,1).
+    """
+    R1, R1p = R(1.0), Rp(1.0)
+    head = (
         -s * R1 - R1p + (1.0 - 2.0 * s) * (0.5 * R1 * R1 + R1 * R1p)
         + 2.0 * s * (1.0 - s) * (2.0 * s - 1.0)
-        * (semi(lambda y: y ** (-2.0 * s) * theta_R(y, cfg))
-           - semi(lambda y: y ** (1.0 - 2.0 * s) * theta_R(y, cfg)))
+        * (iq(lambda y: y ** (-2.0 * s) * R(y)) - iq(lambda y: y ** (1.0 - 2.0 * s) * R(y)))
         - s * (1.0 - s) * (2.0 * s - 1.0)
-        * (semi(lambda y: y ** (1.0 - 2.0 * s) * theta_R(y, cfg) ** 2)
-           + semi(lambda y: y ** (2.0 * s - 1.0) * theta_R(y, cfg) ** 2))
-        - s * (1.0 - s) * (low(lambda y: combo(y, 1.0 - s))
-                           + semi(lambda y: combo(y, 1.0 - s)))
+        * (iq(lambda y: y ** (1.0 - 2.0 * s) * R(y) ** 2)
+           + iq(lambda y: y ** (2.0 * s - 1.0) * R(y) ** 2))
     )
-    t_value = -(low(lambda y: combo(y, s)) + semi(lambda y: combo(y, s)))
-    return s_value, t_value, err
+
+    def combo(coef):
+        return lambda y: y ** (2.0 * s - 2.0) * R(y) * (coef * a(y) + b(y))
+
+    return head, combo
+
+
+def _st_method_A(sigma: float, cfg: EvalConfig, paper_truncation: bool):
+    """R-integral route: the shared expansion, with the combination integrals
+    split at 1 and their (0,1) parts evaluated with the inversion-stable
+    combinations.  It has no published recipe and rejects `paper_truncation`."""
+    if paper_truncation:
+        raise ValueError("A_direct has no fixed-truncation recipe")
+    s = sigma
+    errs = []
+    semi, low = _r_quad(cfg, errs, 1.0), _r_quad(cfg, errs, 0.0, 1.0)
+    head, combo = _r_expansion(s, lambda y: theta_R(y, cfg), lambda y: theta_R_prime(y, cfg),
+                               semi, lambda y: stable_combo_A(y, cfg),
+                               lambda y: stable_combo_B(y, cfg))
+    s_value = head - s * (1.0 - s) * (low(combo(1.0 - s)) + semi(combo(1.0 - s)))
+    t_value = -(low(combo(s)) + semi(combo(s)))
+    trunc = {"integral_bounds": "adaptive, split at 1"}
+    if not 0.0 < sigma < 1.0:
+        # best-effort value: the half-line integral's convergence is only
+        # guaranteed inside the strip
+        trunc["domain_warning"] = f"sigma={sigma} outside (0,1)"
+    return s_value, t_value, sum(errs), trunc
 
 
 def _st_method_B(sigma: float, cfg: EvalConfig, paper_truncation: bool):
     """F-series route.
 
-    Converged mode collapses (m, n) over products with divisor weights and a
-    relative-tail stop.  Fixed-truncation mode follows the published recipe
-    bit-faithfully: the literal double sum m, n <= 10 with every F-integral
-    forced onto [0.001, 20] (no substitution, no adaptivity past the bounds).
+    With lam_p = pi p the product sums sum_p sigma_{2s-1}(p) p^{-s-1/2} lam_p^d
+    F^{(d)}(lam_p) are Gcal^{(d)}(1), so the converged mode reads Hcal's
+    derivatives at 0: T = pref h1 and S = pref ((s^2 + (1-s)^2) h1 - h3).
+    Fixed-truncation mode follows the published recipe bit-faithfully: the
+    literal double sum m, n <= 10 with every F-integral forced onto [0.001, 20]
+    (no substitution, no adaptivity past the bounds).
     """
     s = sigma
-    coef = s * s + (1.0 - s) ** 2 - 0.25
-
-    def parts(F0, F1, F2, F3, lam):
-        t_part = F1 * lam - 0.5 * F0
-        s_part = -F3 * lam ** 3 - 1.5 * F2 * lam ** 2 + coef * t_part
-        return s_part, t_part
-
-    s_sum = 0.0
-    t_sum = 0.0
     if paper_truncation:
+        coef = s * s + (1.0 - s) ** 2 - 0.25
+        s_sum = t_sum = 0.0
         for m in range(1, 11):
             for n in range(1, 11):
                 lam = math.pi * m * n
                 w = float(m) ** (-s - 0.5) * float(n) ** (s - 1.5)
-                F = [F_sigma(s, lam, d, "raw", cfg) for d in range(4)]
-                sp, tp = parts(*F, lam)
-                s_sum += w * sp
-                t_sum += w * tp
+                F0, F1, F2, F3 = (F_sigma(s, lam, d, "raw", cfg) for d in range(4))
+                t_part = F1 * lam - 0.5 * F0
+                s_sum += w * (-F3 * lam ** 3 - 1.5 * F2 * lam ** 2 + coef * t_part)
+                t_sum += w * t_part
         trunc = {"double_sum_cap": 10, "f_integral_bounds": [0.001, 20.0]}
     else:
-        for p in range(1, cfg.series_max_terms + 1):
-            lam = math.pi * p
-            if 2.0 * lam > _EXP_UNDERFLOW:
-                break
-            w = divisor_sigma(p, 2.0 * s - 1.0) * float(p) ** (-s - 0.5)
-            F = [F_sigma(s, lam, d, "direct", cfg) for d in range(4)]
-            sp, tp = parts(*F, lam)
-            s_sum += w * sp
-            t_sum += w * tp
-            if p >= 3 and abs(w * sp) <= cfg.series_tol * abs(s_sum) \
-                    and abs(w * tp) <= cfg.series_tol * abs(t_sum):
-                break
-        else:
-            raise ConvergenceError("product-sum cap reached in method B")
-        trunc = {"product_sum_terms": p, "f_integral_bounds": "adaptive"}
+        h = calH_derivs_at_0(s, cfg)
+        t_sum = h["h1"]
+        s_sum = (s * s + (1.0 - s) ** 2) * h["h1"] - h["h3"]
+        trunc = {"product_sum_terms": len(_g_weights(s, 1.0, 0, cfg)),
+                 "f_integral_bounds": "adaptive"}
 
     pref = 2.0 ** (s + 1.5) / math.pi
     err = cfg.quad_rel_tol * (abs(s_sum) + abs(t_sum)) * pref * 10.0
@@ -439,14 +449,15 @@ def _st_method_B(sigma: float, cfg: EvalConfig, paper_truncation: bool):
 
 
 def _st_method_C(sigma: float, cfg: EvalConfig, paper_truncation: bool):
-    """Inversion route: same R-integral expansion as method A, with the (0,1)
-    piece transformed to (1, inf) by theta inversion, so every integral lives
-    on the half-line above 1.
+    """Inversion route: the shared expansion, with the (0,1) parts of the
+    combination integrals folded to (1, inf) by theta inversion, so every
+    integral lives on the half-line above 1.
 
     Fixed-truncation mode clamps R to its first 5 series terms (no inversion)
     and every integral to [1, 10], per the published recipe.
     """
     s = sigma
+    errs = []
     if paper_truncation:
         R = lambda y: theta_R_truncated(y, 5)
         Rp = lambda y: theta_R_prime_truncated(y, 5)
@@ -457,37 +468,16 @@ def _st_method_C(sigma: float, cfg: EvalConfig, paper_truncation: bool):
         Rp = lambda y: theta_R_prime(y, cfg)
         hi = None
         trunc = {"theta_terms": "adaptive", "integral_bounds": "adaptive"}
-    err = 0.0
+    iq = _r_quad(cfg, errs, 1.0, hi)
+    head, combo = _r_expansion(s, R, Rp, iq, lambda y: y * R(y) + y - 1.0,
+                               lambda y: y * y * Rp(y) + 1.0)
 
-    def iq(f):
-        nonlocal err
-        if hi is None:
-            r = integrate_semi_infinite(f, 1.0, _R_DECAY, cfg, scale=_R_SCALE)
-        else:
-            r = integrate_finite(f, 1.0, hi, cfg)
-        err += r.err_est
-        return r.value
+    def fold(coef):
+        return lambda y: y ** (-2.0 * s) * R(1.0 / y) * (coef * R(y) + y * Rp(y))
 
-    R1, R1p = R(1.0), Rp(1.0)
-    s_value = (
-        -s * R1 - R1p + (1.0 - 2.0 * s) * (0.5 * R1 * R1 + R1 * R1p)
-        + 2.0 * s * (1.0 - s) * (2.0 * s - 1.0)
-        * (iq(lambda y: y ** (-2.0 * s) * R(y)) - iq(lambda y: y ** (1.0 - 2.0 * s) * R(y)))
-        - s * (1.0 - s) * (2.0 * s - 1.0)
-        * (iq(lambda y: y ** (1.0 - 2.0 * s) * R(y) ** 2)
-           + iq(lambda y: y ** (2.0 * s - 1.0) * R(y) ** 2))
-        - s * (1.0 - s) * iq(
-            lambda y: y ** (2.0 * s - 2.0) * R(y)
-            * ((1.0 - s) * (y * R(y) + y - 1.0) + (y * y * Rp(y) + 1.0)))
-        + s * (1.0 - s) * iq(
-            lambda y: y ** (-2.0 * s) * R(1.0 / y) * (s * R(y) + y * Rp(y)))
-    )
-    t_value = (
-        -iq(lambda y: y ** (2.0 * s - 2.0) * R(y)
-            * (s * (y * R(y) + y - 1.0) + (y * y * Rp(y) + 1.0)))
-        + iq(lambda y: y ** (-2.0 * s) * R(1.0 / y) * ((1.0 - s) * R(y) + y * Rp(y)))
-    )
-    return s_value, t_value, err, trunc
+    s_value = head - s * (1.0 - s) * iq(combo(1.0 - s)) + s * (1.0 - s) * iq(fold(s))
+    t_value = -iq(combo(s)) + iq(fold(1.0 - s))
+    return s_value, t_value, sum(errs), trunc
 
 
 def S_T_constants(sigma: float, method: str = "B_series",
@@ -499,21 +489,10 @@ def S_T_constants(sigma: float, method: str = "B_series",
     switches routes B and C to their published fixed-truncation recipes (route
     A has no published recipe and rejects the flag).
     """
-    if method == "A_direct":
-        if paper_truncation:
-            raise ValueError("A_direct has no fixed-truncation recipe")
-        s_value, t_value, err = _st_method_A(sigma, cfg)
-        trunc = {"integral_bounds": "adaptive, split at 1"}
-        if not 0.0 < sigma < 1.0:
-            # best-effort value: the half-line integral's convergence is only
-            # guaranteed inside the strip
-            trunc["domain_warning"] = f"sigma={sigma} outside (0,1)"
-    elif method == "B_series":
-        s_value, t_value, err, trunc = _st_method_B(sigma, cfg, paper_truncation)
-    elif method == "C_inversion":
-        s_value, t_value, err, trunc = _st_method_C(sigma, cfg, paper_truncation)
-    else:
+    routes = {"A_direct": _st_method_A, "B_series": _st_method_B, "C_inversion": _st_method_C}
+    if method not in routes:
         raise ValueError(f"unknown method {method!r}")
+    s_value, t_value, err, trunc = routes[method](sigma, cfg, paper_truncation)
     return ConstantsReport(sigma, s_value, t_value, method, trunc, err)
 
 

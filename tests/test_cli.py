@@ -263,6 +263,11 @@ class TestCommands:
         (["montecarlo", "--sigma", "0.6,0.7"], "--sigma"),
         (["coeffs", "--sigma", "0.6,0.7"], "--sigma"),
         (["autocorr", "--sigma", "0.6,0.7"], "--sigma"),
+        (["verify-modulus", "--t-list", ","], "--t-list"),
+        (["verify-modulus", "--sigma", "abc"], "--sigma"),
+        (["montecarlo", "--t-list", ","], "--t-list"),
+        (["scan", "--sigma", ","], "--sigma"),
+        (["constants", "--sigma", ","], "--sigma"),
     ])
     def test_bad_value_is_usage_error(self, argv, mention):
         # in a child process with a timeout: a negative autocorr step used to

@@ -1,15 +1,18 @@
-"""Bit-identity guard for the hot series kernels.
+"""Bit-identity guard for the hot series kernels and the S/T routes.
 
 The theta series, J_tau and Gcal are summed with precomputed per-term
 constants.  Each value below is the float.hex of the plain term-by-term sum,
 in which every term was formed factor by factor; a kernel rewrite that moves
-any rounding fails here, however small the change.
+any rounding fails here, however small the change.  The S/T pins are the
+values of routes A and C (both modes) and of route B's fixed-truncation recipe
+as their integrals were first written out term by term, one route per
+function; sharing code between the routes must not move them.
 """
 
 import pytest
 
 from xi_ineq import theta
-from xi_ineq.modulus import calG
+from xi_ineq.modulus import S_T_constants, calG
 
 # y = 0.05 takes a few hundred terms, so the J tables grow; y = 3 stops at the floor
 BITS_J = {   # (tau, y, deriv)
@@ -54,6 +57,22 @@ BITS_CALG = {   # (sigma, lam, deriv)
     (0.6, 0.4, 0): '0x1.4c5f373c4caadp-4',
     (0.9, 2.5, 0): '0x1.2fbb25ab8b431p-22',
 }
+BITS_ST = {   # (method, sigma, paper_truncation): (S, T, err_est)
+    ('A_direct', 0.75, False):
+        ('0x1.fb90c8c544e54p-2', '-0x1.7c71eca7867c3p-6', '0x1.acb469ebbf75bp-48'),
+    ('A_direct', 0.6, False):
+        ('0x1.fa52f088f542dp-2', '-0x1.7aba01980654cp-6', '0x1.a557a84ab1520p-48'),
+    ('C_inversion', 0.75, False):
+        ('0x1.fb90c8c544e54p-2', '-0x1.7c71eca7867c4p-6', '0x1.9fa00ffa0b336p-48'),
+    ('C_inversion', 0.75, True):
+        ('0x1.fb90c8c544e57p-2', '-0x1.7c71eca7866d6p-6', '0x1.0b3661291e09cp-42'),
+    ('C_inversion', 0.6, False):
+        ('0x1.fa52f088f542dp-2', '-0x1.7aba01980654ep-6', '0x1.993c6acbd6c09p-48'),
+    ('C_inversion', 0.6, True):
+        ('0x1.fa52f088f5432p-2', '-0x1.7aba019806415p-6', '0x1.f0e7bf15c8b50p-44'),
+    ('B_series', 0.75, True):
+        ('0x1.e54dac419c2f3p-2', '-0x1.65e7f701e180dp-6', '0x1.b4165f5f1c938p-35'),
+}
 
 
 @pytest.mark.parametrize("key", sorted(BITS_J))
@@ -70,3 +89,10 @@ def test_theta_bits(key):
 @pytest.mark.parametrize("key", sorted(BITS_CALG))
 def test_calG_bits(key):
     assert calG(*key).hex() == BITS_CALG[key]
+
+
+@pytest.mark.parametrize("key", sorted(BITS_ST))
+def test_S_T_bits(key):
+    method, sigma, paper_truncation = key
+    rep = S_T_constants(sigma, method, paper_truncation=paper_truncation)
+    assert (rep.s_value.hex(), rep.t_value.hex(), rep.err_est.hex()) == BITS_ST[key]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from conftest import w_moment_reference, xi_mod_sq_reference
+from conftest import s_reference, w_moment_reference, xi_mod_sq_reference
 from xi_ineq import modulus
+from xi_ineq.config import EvalConfig
 from xi_ineq.errors import ConvergenceError
 from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _X, _j_lin_cub, _w_table, a_coeff,
                              c_coeff, calG, calH, calH_derivs_at_0, constants,
@@ -86,10 +87,12 @@ class TestCalHDerivs:
         assert abs(d["h1"] - fd) <= 1e-8 * abs(fd) + 10.0 * h * h
 
     def test_identities_deliver_constants(self, cfg):
+        # route B reads these identities itself; route A's R-integrals are independent
         for sigma in (0.6, 0.75, 0.9):
             d = calH_derivs_at_0(sigma, cfg)
             pref = 2.0 ** (sigma + 1.5) / math.pi
-            s_val, t_val = constants(sigma, cfg)
+            rep = S_T_constants(sigma, "A_direct", cfg)
+            s_val, t_val = rep.s_value, rep.t_value
             assert pref * d["h1"] == pytest.approx(t_val, rel=1e-6)
             s_from_h = pref * ((sigma ** 2 + (1 - sigma) ** 2) * d["h1"] - d["h3"])
             assert s_from_h == pytest.approx(s_val, rel=1e-6)
@@ -161,6 +164,25 @@ class TestConstants:
         # form integrated in mpmath, with no library code in the reference
         assert w_cos_transform(0.75, 0.0, cfg) == pytest.approx(
             w_moment_reference(0.75), rel=1e-10)
+
+    def test_series_route_reads_four_gcal_derivatives(self, cfg, monkeypatch):
+        # converged route B is Hcal's derivatives at 0: Gcal and its first three
+        # derivatives at 1, and no F-integral of its own
+        calls = []
+        for name in ("calG", "F_sigma"):
+            def counted(*args, _name=name, _f=getattr(modulus, name), **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(modulus, name, counted)
+        rep = S_T_constants(0.75, "B_series", cfg)
+        assert calls == ["calG"] * 4
+        ref = s_reference(0.75)
+        assert abs(rep.s_value - ref) <= 1e-15 * ref
+
+    def test_series_route_cap_raises(self):
+        # Gcal at 1 needs 7 products; a cap of 4 must not pass as converged
+        with pytest.raises(ConvergenceError):
+            S_T_constants(0.75, "B_series", EvalConfig(series_max_terms=4))
 
     def test_A_paper_truncation_rejected(self, cfg):
         with pytest.raises(ValueError):
