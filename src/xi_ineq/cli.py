@@ -118,12 +118,21 @@ def _emit(args, report: dict, rows: list, columns: list) -> None:
         sys.stdout.write(text)
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every one-number flag: a bad, infinite or nan number
+    is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _floats(text: str) -> list:
     """The argparse type of every comma-list flag: a bad list is a usage error."""
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
+    values = [_finite_float(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError(f"empty list: {text!r}")
     return values
@@ -430,23 +439,23 @@ def build_parser() -> _Parser:
                     sigma="0.6,0.75")
     p.add_argument("--t-list", dest="t_list", type=_floats, default="0,1,5,10")
     p = _subcommand(subs, "scan", "positivity scan", sigma="0.75")
-    p.add_argument("--t-max", dest="t_max", type=float, default=20.0)
-    p.add_argument("--step", type=float, default=0.25)
+    p.add_argument("--t-max", dest="t_max", type=_finite_float, default=20.0)
+    p.add_argument("--step", type=_finite_float, default=0.25)
     p.add_argument("--route", default="representation",
                    choices=["representation", "J_eta"])
     p = _subcommand(subs, "coeffs", "power-series coefficients")
-    p.add_argument("--sigma", type=float, default=0.75, help="one sigma value")
+    p.add_argument("--sigma", type=_finite_float, default=0.75, help="one sigma value")
     p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--t-check", dest="t_check", type=float, default=1.0)
+    p.add_argument("--t-check", dest="t_check", type=_finite_float, default=1.0)
     p = _subcommand(subs, "montecarlo", "expectation inequality, sampled")
-    p.add_argument("--sigma", type=float, default=0.75, help="one sigma value")
+    p.add_argument("--sigma", type=_finite_float, default=0.75, help="one sigma value")
     p.add_argument("--t-list", dest="t_list", type=_floats, default="1,5,10")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=12345)
     p = _subcommand(subs, "autocorr", "autocorrelation + zero scan")
-    p.add_argument("--sigma", type=float, default=0.75, help="one sigma value")
-    p.add_argument("--t-max", dest="t_max", type=float, default=30.0)
-    p.add_argument("--step", type=float, default=0.5)
+    p.add_argument("--sigma", type=_finite_float, default=0.75, help="one sigma value")
+    p.add_argument("--t-max", dest="t_max", type=_finite_float, default=30.0)
+    p.add_argument("--step", type=_finite_float, default=0.5)
     _subcommand(subs, "reproduce-appendix", "published fixed-truncation constants")
     _subcommand(subs, "selftest", "reduced invariant suite")
     return parser

@@ -21,19 +21,22 @@ where Hcal_sigma(x) = Gcal_sigma(e^x) e^{-x/2} and
     F_sigma(lam)    = 2^{1/2-sigma} * lam * int_0^inf e^{-2 lam cosh u}
                                                cosh((sigma-1/2) u) du.
 
-The same objects reappear in the J/eta parametrization: the t=0 moments a(k),
-the power-series coefficients c(k) of |xi|^2 in t^2, and the direct double
-integral route used by the positivity scan.
+The same objects reappear in the J/eta parametrization.  In the coordinate
+x -> 2 ln x, W e^{-sigma x} = 2 e^{x/2} int_1^inf J_tau(e^x y) eta_tau(y) dy, so
+the moments a(k) behind the power-series coefficients c(k) of |xi|^2 in t^2, and
+the double integral of the J/eta route, are integrals of W e^{-sigma x} too.
 
 Every reader of the cosine transform takes it from one certified table of
-W e^{-sigma x} per sigma (`_w_table`) by a fixed Fejer rule (`w_cos_fixed`); the
-adaptive `w_cos_transform` stays as its independent cross-check.
+W e^{-sigma x} per sigma (`_w_table`, values from Hcal) by a fixed Fejer rule
+(`w_cos_fixed`).  The J/eta route and a(k) read the same rule's masses from one
+table per tau whose values come from J and eta alone (`_j_masses`).  The
+adaptive `w_cos_transform` stays as the independent cross-check of both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -272,6 +275,7 @@ _BARY = (-1.0) ** np.arange(_NODES) * np.sin(_THETA)     # barycentric weights o
 _PROBES = np.concatenate([(0.5 * (_X[1:] + _X[:-1]))[::4],
                           np.linspace(1.7e-3, _W_CUT - 1e-3, 41)])
 _, _XT, _FEJER_T = _chebyshev_fejer(_T_NODES)
+_WEIGHTS_T = _W_CUT / _T_NODES * _FEJER_T      # the transform's rule at _XT
 
 
 def _density(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -317,7 +321,7 @@ def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> WTable:
     if worst > 1e-8:
         raise ConvergenceError(
             f"W table certification failed at sigma={sigma!r}: err {worst:.2e} > 1e-8", worst)
-    masses = _W_CUT / _T_NODES * _FEJER_T * _density(values, _XT)
+    masses = _WEIGHTS_T * _density(values, _XT)
     values.flags.writeable = masses.flags.writeable = False
     return WTable(values, masses)
 
@@ -516,23 +520,23 @@ def modulus_rhs(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> flo
     return 0.5 * (s_val + t_val * t * t + poly * w_cos_fixed(sigma, t, cfg))
 
 
-def _j_u_cutoff(y: float, log_margin: float) -> float:
-    """u = ln x where J_tau(x^2 y) ~ exp(-2 pi y e^{2u}) falls below e^{-37 - log_margin}."""
-    lim = _EXP_UNDERFLOW / 20.0 + log_margin
-    return 0.5 * math.log(max(lim / (2.0 * math.pi * y), 1.0))
+@config_cache(maxsize=32)
+def _j_masses(tau: float, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The Fejer masses of W e^{-sigma x} at the nodes _XT, sigma = tau + 1/2, from
+    J/eta alone: W(x) e^{-sigma x} = 2 e^{x/2} K(e^x), K(s) = int_1^inf J_tau(s y)
+    eta_tau(y) dy, one eta-weighted integral per node at the transform's absolute
+    target 0.1 quad_abs_tol.  The same rule as `WTable.masses`, whose values come
+    from Hcal instead; read-only."""
+    node_cfg = replace(cfg, quad_abs_tol=0.1 * cfg.quad_abs_tol)
 
+    def k_of(s):
+        return integrate_eta_weighted(lambda y: J_tau(tau, s * y, 0, cfg), tau, node_cfg,
+                                      decay_rate=2.0 * math.pi * s).value
 
-def _j_inner_cos(tau: float, t: float, y: float, cfg: EvalConfig) -> float:
-    """int_1^inf cos(2 t ln x) J_tau(x^2 y) dx, via u = ln x."""
-    u_max = _j_u_cutoff(y, 0.0)
-    if u_max == 0.0:
-        return 0.0
-
-    def f(u):
-        return J_tau(tau, math.exp(2.0 * u) * y, 0, cfg) * math.exp(u)
-
-    return integrate_oscillatory_cos(f, 2.0 * t, 0.0, decay_rate=1.0, cfg=cfg,
-                                     cutoff=u_max).value
+    w_exp = np.array([2.0 * math.exp(0.5 * x) * k_of(math.exp(x)) for x in _XT])
+    masses = _WEIGHTS_T * w_exp
+    masses.flags.writeable = False
+    return masses
 
 
 @config_cache(maxsize=64)
@@ -556,10 +560,11 @@ def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
         4[(t^2+tau^2+1/4)^2 - tau^2] * int int cos(2t ln x) J(x^2 y) eta(y) dx dy
       + (t^2+2 tau^2+1/4) * int [2y J' + J] eta dy
       - int y [2y^2 J''' + 9y J'' + 6 J'] eta dy
+
+    With x -> 2 ln x the double integral is a quarter of the cosine transform of
+    W e^{-sigma x}, which the fixed rule reads from `_j_masses`.
     """
-    dbl = integrate_eta_weighted(
-        lambda y: _j_inner_cos(tau, t, y, cfg), tau, cfg,
-        decay_rate=2.0 * math.pi, scale=1.0).value
+    dbl = 0.25 * float(np.cos(t * _XT) @ _j_masses(tau, cfg))
     lin, cub = _j_lin_cub(tau, cfg)
     quartic = 4.0 * ((t * t + tau * tau + 0.25) ** 2 - tau * tau)
     return quartic * dbl + (t * t + 2.0 * tau * tau + 0.25) * lin - cub
@@ -569,27 +574,12 @@ def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
 # Power-series coefficients of |xi(sigma-it)|^2 in t^2
 # ---------------------------------------------------------------------------
 
-@config_cache(maxsize=64)
 def a_coeff(tau: float, k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """a_tau(k) = 2^{2k+1} int int (ln x)^{2k} J_tau(x^2 y) eta_tau(y) dx dy, cached
-    because c_coeff(k) reads a(k), a(k-1) and a(k-2)."""
+    """a_tau(k) = 2^{2k+1} int int (ln x)^{2k} J_tau(x^2 y) eta_tau(y) dx dy, which is
+    half the moment int x^{2k} W e^{-sigma x} dx: one product with `_j_masses`."""
     if k < 0:
         raise DomainError(f"a_coeff needs k >= 0, got {k!r}")
-    margin = 4.0 * k   # polynomial weight u^{2k} shifts the cutoff slightly
-
-    def inner(y):
-        u_max = _j_u_cutoff(y, margin)
-        if u_max == 0.0:
-            return 0.0
-
-        def f(u):
-            return u ** (2 * k) * J_tau(tau, math.exp(2.0 * u) * y, 0, cfg) * math.exp(u)
-
-        return integrate_finite(f, 0.0, u_max, cfg).value
-
-    outer = integrate_eta_weighted(inner, tau, cfg, decay_rate=2.0 * math.pi,
-                                   scale=1.0).value
-    return 2.0 ** (2 * k + 1) * outer
+    return 0.5 * float(_XT ** (2 * k) @ _j_masses(tau, cfg))
 
 
 def c_coeff(tau: float, k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:

@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 
 from xi_ineq.config import DEFAULT_CONFIG
+from xi_ineq.modulus import S_T_constants
 
 mp.mp.dps = 35
 
@@ -11,6 +12,13 @@ mp.mp.dps = 35
 @pytest.fixture(scope="session")
 def cfg():
     return DEFAULT_CONFIG
+
+
+@pytest.fixture(scope="session")
+def route_b_fixed_truncation():
+    """Route B's published fixed-truncation recipe at sigma 0.75: 400 raw
+    F-integrals, about 2.5 s, so the tests that read it share one evaluation."""
+    return S_T_constants(0.75, "B_series", paper_truncation=True)
 
 
 def xi_reference(sigma: float, t: float = 0.0) -> complex:

@@ -2,7 +2,6 @@ import csv
 import importlib
 import io
 import json
-import math
 import os
 import pkgutil
 import re
@@ -15,7 +14,7 @@ import xi_ineq
 from xi_ineq.cli import main, render_json
 from xi_ineq.config import DEFAULT_CONFIG, config_from_mapping, parse_config_text
 from xi_ineq import modulus
-from xi_ineq.modulus import _w_table, a_coeff, constants, power_series_coeffs
+from xi_ineq.modulus import _j_masses, _w_table, constants, power_series_coeffs
 
 
 def run_cli(capsys, *argv):
@@ -29,15 +28,13 @@ def strip_timestamp(text: str) -> str:
 
 
 def count_adaptive_transforms(monkeypatch) -> list:
-    """Record the frequency of every adaptive cosine transform of
-    W e^{-sigma x} that modulus starts, whoever calls it: those are the
-    transforms with W's decay rate 2 pi (the J route's inner ones decay at 1)."""
+    """Record the frequency of every adaptive cosine transform that modulus
+    starts, whoever calls it."""
     calls = []
     adaptive = modulus.integrate_oscillatory_cos
 
     def counted(*args, **kwargs):
-        if kwargs.get("decay_rate") == 2.0 * math.pi:
-            calls.append(args[1])
+        calls.append(args[1])
         return adaptive(*args, **kwargs)
 
     monkeypatch.setattr(modulus, "integrate_oscillatory_cos", counted)
@@ -209,13 +206,22 @@ class TestCommands:
         assert adaptive == []
 
     def test_coeffs_reuses_the_series_a_coeffs(self, capsys):
-        # c(k) reads a(k), a(k-1) and a(k-2): 11 distinct values for K = 10
-        a_coeff.cache_clear()
+        # every a(k) of the series and of the report's rows reads one J table
+        _j_masses.cache_clear()
         power_series_coeffs(0.75, 10)
-        assert a_coeff.cache_info().misses == 11
+        assert _j_masses.cache_info().misses == 1
         code, _ = run_cli(capsys, "coeffs", "--sigma", "0.75", "--kmax", "10")
         assert code == 0
-        assert a_coeff.cache_info().misses == 11
+        assert _j_masses.cache_info().misses == 1
+
+    def test_j_eta_scan_builds_one_j_table_per_sigma(self, capsys, monkeypatch):
+        adaptive = count_adaptive_transforms(monkeypatch)
+        _j_masses.cache_clear()
+        code, _ = run_cli(capsys, "scan", "--sigma", "0.6,0.75", "--route", "J_eta",
+                          "--t-max", "5", "--step", "0.5")
+        assert code == 0
+        assert _j_masses.cache_info().misses == 2
+        assert adaptive == []
 
     def test_autocorr_zero_scan_reuses_the_table_grid(self, capsys, monkeypatch):
         # the zero scan and the table's 21 grid points read one W table and
@@ -268,6 +274,16 @@ class TestCommands:
         (["montecarlo", "--t-list", ","], "--t-list"),
         (["scan", "--sigma", ","], "--sigma"),
         (["constants", "--sigma", ","], "--sigma"),
+        (["constants", "--sigma", "nan"], "--sigma"),
+        (["verify-modulus", "--t-list", "nan"], "--t-list"),
+        (["montecarlo", "--t-list", "1,inf"], "--t-list"),
+        (["coeffs", "--sigma", "nan"], "--sigma"),
+        (["coeffs", "--t-check", "inf"], "--t-check"),
+        (["montecarlo", "--sigma", "inf"], "--sigma"),
+        (["scan", "--t-max", "nan"], "--t-max"),
+        (["scan", "--step", "inf"], "--step"),
+        (["autocorr", "--t-max=-inf"], "--t-max"),
+        (["autocorr", "--sigma", "nan"], "--sigma"),
     ])
     def test_bad_value_is_usage_error(self, argv, mention):
         # in a child process with a timeout: a negative autocorr step used to
@@ -303,7 +319,7 @@ class TestCommands:
                 if callable(obj) and hasattr(obj, "cache_info"):
                     bounds[f"{info.name}.{name}"] = obj.cache_info().maxsize
         assert {"xi_ineq.theta.divisor_sigma", "xi_ineq.theta._j_table",
-                "xi_ineq.modulus.a_coeff", "xi_ineq.modulus._j_lin_cub"} <= set(bounds)
+                "xi_ineq.modulus._j_masses", "xi_ineq.modulus._j_lin_cub"} <= set(bounds)
         assert all(isinstance(m, int) for m in bounds.values()), bounds
 
     def test_constants_one_cache_entry_whatever_the_call_form(self):

@@ -6,13 +6,15 @@ in which every term was formed factor by factor; a kernel rewrite that moves
 any rounding fails here, however small the change.  The S/T pins are the
 values of routes A and C (both modes) and of route B's fixed-truncation recipe
 as their integrals were first written out term by term, one route per
-function; sharing code between the routes must not move them.
+function; sharing code between the routes must not move them.  The J/eta
+pins are `modulus_rhs_via_J` and two masses of its node table (`_j_masses`:
+the largest, and the one at the middle node) as the table first gave them.
 """
 
 import pytest
 
 from xi_ineq import theta
-from xi_ineq.modulus import S_T_constants, calG
+from xi_ineq.modulus import S_T_constants, _j_masses, calG, modulus_rhs_via_J
 
 # y = 0.05 takes a few hundred terms, so the J tables grow; y = 3 stops at the floor
 BITS_J = {   # (tau, y, deriv)
@@ -74,6 +76,12 @@ BITS_ST = {   # (method, sigma, paper_truncation): (S, T, err_est)
         ('0x1.e54dac419c2f3p-2', '-0x1.65e7f701e180dp-6', '0x1.b4165f5f1c938p-35'),
 }
 
+BITS_J_ROUTE = {   # modulus_rhs_via_J(0.25, 5.0) and _j_masses(0.25)[i]
+    'modulus_rhs_via_J': '0x1.38078018067d4p-3',
+    14: '0x1.8520257155691p-16',
+    64: '0x1.49e037b0470c1p-35',
+}
+
 
 @pytest.mark.parametrize("key", sorted(BITS_J))
 def test_J_tau_bits(key):
@@ -92,7 +100,17 @@ def test_calG_bits(key):
 
 
 @pytest.mark.parametrize("key", sorted(BITS_ST))
-def test_S_T_bits(key):
+def test_S_T_bits(key, request):
     method, sigma, paper_truncation = key
-    rep = S_T_constants(sigma, method, paper_truncation=paper_truncation)
+    if key == ("B_series", 0.75, True):
+        rep = request.getfixturevalue("route_b_fixed_truncation")
+    else:
+        rep = S_T_constants(sigma, method, paper_truncation=paper_truncation)
     assert (rep.s_value.hex(), rep.t_value.hex(), rep.err_est.hex()) == BITS_ST[key]
+
+
+def test_J_route_bits():
+    masses = _j_masses(0.25)
+    got = {'modulus_rhs_via_J': modulus_rhs_via_J(0.25, 5.0).hex(),
+           14: float(masses[14]).hex(), 64: float(masses[64]).hex()}
+    assert got == BITS_J_ROUTE

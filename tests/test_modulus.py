@@ -8,9 +8,10 @@ from conftest import s_reference, w_moment_reference, xi_mod_sq_reference
 from xi_ineq import modulus
 from xi_ineq.config import EvalConfig
 from xi_ineq.errors import ConvergenceError
-from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _X, _j_lin_cub, _w_table, a_coeff,
-                             c_coeff, calG, calH, calH_derivs_at_0, constants,
-                             modulus_rhs, modulus_rhs_via_J,
+from xi_ineq.inequality import _scaled_moments
+from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _X, _j_lin_cub, _j_masses,
+                             _w_table, a_coeff, c_coeff, calG, calH, calH_derivs_at_0,
+                             constants, modulus_rhs, modulus_rhs_via_J,
                              power_series_coeffs, w_cos_fixed, w_cos_transform)
 from xi_ineq.quadrature import integrate_finite
 from xi_ineq.theta import sup_constant_C
@@ -138,8 +139,8 @@ class TestConstants:
             assert t_val < 0.0
             assert s_val + 0.25 * t_val > 0.0
 
-    def test_published_fixed_truncation_series_route(self, cfg):
-        rep = S_T_constants(0.75, "B_series", cfg, paper_truncation=True)
+    def test_published_fixed_truncation_series_route(self, route_b_fixed_truncation):
+        rep = route_b_fixed_truncation
         assert abs(rep.s_value - 0.473929) <= 1e-4 * 0.473929
         assert abs(rep.t_value - (-0.0218449)) <= 1e-4 * 0.0218449
 
@@ -267,6 +268,22 @@ class TestJEtaRoute:
             modulus_rhs_via_J(0.3, t, cfg)
         assert _j_lin_cub.cache_info().misses == 1
 
+    @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.95])
+    def test_masses_match_the_w_table(self, cfg, sigma):
+        # J/eta node values against Hcal node values: two formulas, one rule
+        masses = _j_masses(sigma - 0.5, cfg)
+        want = _w_table(sigma, cfg).masses
+        assert np.max(np.abs(masses - want)) <= 1e-14 * np.max(want)
+        with pytest.raises(ValueError):
+            masses[0] = 0.0
+
+    @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.95])
+    @pytest.mark.parametrize("t", [20.0, 25.0, 30.0])
+    def test_matches_mpmath_past_the_grid(self, cfg, sigma, t):
+        want = xi_mod_sq_reference(sigma, t)
+        scale = max(xi_real(sigma, cfg) ** 2, want)
+        assert abs(0.5 * modulus_rhs_via_J(sigma - 0.5, t, cfg) - want) <= 2e-12 * scale
+
     def test_cross_route_consistency(self, cfg):
         a = modulus_rhs_via_J(0.1, 1.0, cfg)
         b = 2.0 * modulus_rhs(0.6, 1.0, cfg)
@@ -294,6 +311,13 @@ class TestPowerSeries:
         # int_0^inf W e^{-sigma x} dx = 4 * (a(0) / 2)
         z = w_cos_transform(0.75, 0.0, cfg)
         assert 2.0 * a_coeff(0.25, 0, cfg) == pytest.approx(z, rel=1e-9)
+
+    def test_a_is_half_the_w_table_moment(self, cfg):
+        # a(k) from the J table against the Hcal table's moments x^{2k}/(2k)!
+        moments = _scaled_moments(0.75, 20, 10, cfg)
+        for k in range(11):
+            want = 0.5 * math.factorial(2 * k) * moments[k]
+            assert abs(a_coeff(0.25, k, cfg) - want) <= 1e-8 * want, k
 
     def test_signs_alternate_and_bound_holds(self, cfg):
         series = power_series_coeffs(0.75, 10, cfg)
