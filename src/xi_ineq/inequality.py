@@ -26,9 +26,9 @@ from numpy.polynomial import Chebyshev
 
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError
-from .modulus import (_BLOCK, _FEJER, _NODES, _W_CUT, _X, _density, _w_table,
+from .modulus import (_FEJER, _NODES, _W_CUT, _X, _density, _w_table,
                       calH, constants, modulus_rhs_via_J, w_cos_fixed, W_sigma)
-from .quadrature import integrate_finite
+from .quadrature import BARY_BLOCK, integrate_finite
 from .theta import sup_constant_C, sup_constant_Cn
 
 
@@ -270,7 +270,7 @@ class XSigmaSampler:
     is a prefix of sample(n) for m < n.
     """
 
-    _CHUNK = _BLOCK    # candidates per block of uniforms
+    _CHUNK = BARY_BLOCK    # candidates per block of uniforms
     _GRID = 1 << 13    # points of the ceiling grid, whose bins are the squeeze
 
     def __init__(self, sigma: float, cfg: EvalConfig = DEFAULT_CONFIG):

@@ -42,8 +42,9 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError
-from .quadrature import (integrate_eta_weighted, integrate_finite,
-                         integrate_oscillatory_cos, integrate_semi_infinite)
+from .quadrature import (barycentric, chebyshev_fejer, integrate_eta_weighted,
+                         integrate_finite, integrate_oscillatory_cos,
+                         integrate_semi_infinite)
 from .theta import (J_tau, divisor_sigma, stable_combo_A, stable_combo_B,
                     theta_R, theta_R_prime, theta_R_prime_truncated,
                     theta_R_truncated)
@@ -258,39 +259,18 @@ def W_sigma(sigma: float, x: float, form: str = "closed",
 _W_CUT = 2.4        # W's support cut: the mass of W e^{-sigma x} beyond is < 1e-25
 _NODES = 64         # Hcal is analytic on [0, _W_CUT]: 64 nodes resolve it to rounding
 _T_NODES = 128      # the transform's rule: 64 nodes are 5e-11 off at t = 30, 128 are 5e-14
-_BLOCK = 1 << 16    # points per block of _density, and the sampler's candidates per chunk
 
-
-def _chebyshev_fejer(n: int) -> tuple:
-    """The angles and the n Chebyshev points of the first kind on [0, _W_CUT], and
-    their Fejer type-1 weights (Waldvogel, BIT 46, 2006), which sum to n."""
-    theta = (2 * np.arange(n) + 1) * math.pi / (2 * n)
-    k = np.arange(1, n // 2 + 1)
-    fejer = 1.0 - 2.0 * (np.cos(2.0 * np.outer(theta, k)) / (4 * k * k - 1)).sum(axis=1)
-    return theta, 0.5 * _W_CUT * (1.0 - np.cos(theta)), fejer
-
-
-_THETA, _X, _FEJER = _chebyshev_fejer(_NODES)
-_BARY = (-1.0) ** np.arange(_NODES) * np.sin(_THETA)     # barycentric weights of _X
+_X, _FEJER, _BARY = chebyshev_fejer(_NODES, _W_CUT)
 _PROBES = np.concatenate([(0.5 * (_X[1:] + _X[:-1]))[::4],
                           np.linspace(1.7e-3, _W_CUT - 1e-3, 41)])
-_, _XT, _FEJER_T = _chebyshev_fejer(_T_NODES)
+_XT, _FEJER_T, _ = chebyshev_fejer(_T_NODES, _W_CUT)
 _WEIGHTS_T = _W_CUT / _T_NODES * _FEJER_T      # the transform's rule at _XT
 
 
 def _density(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The polynomial through `values` at the nodes _X, at the points x (1-d), by the barycentric
-    second form (Berrut & Trefethen, SIAM Review 46, 2004).  Points go in blocks of _BLOCK
-    with 64 floats of temporaries each; no call of the sampler's is split."""
-    weighted = np.stack([_BARY * values, _BARY], axis=1)
-    out = np.empty(len(x))
-    for i in range(0, len(x), _BLOCK):
-        d = np.subtract.outer(x[i:i + _BLOCK], _X)
-        d[d == 0.0] = 1e-300   # x on a node: that node's term decides alone
-        num_den = np.reciprocal(d, out=d) @ weighted
-        out[i:i + _BLOCK] = num_den[:, 0] / num_den[:, 1]
-        del d   # freed before the next block is allocated
-    return out
+    """The polynomial through `values` at the nodes _X, at the points x (1-d).  The
+    sampler asks for at most BARY_BLOCK points a call, so its calls are not split."""
+    return barycentric(values, _X, _BARY, x)
 
 
 @dataclass(frozen=True)
@@ -583,23 +563,17 @@ def a_coeff(tau: float, k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 
 
 def c_coeff(tau: float, k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Coefficient of t^{2k} in |xi(tau+1/2-it)|^2; alternates in sign."""
+    """Coefficient of t^{2k} in |xi(tau+1/2-it)|^2; alternates in sign.  k = 0 and
+    k = 1 read the J/eta route's t-independent integrals (`_j_lin_cub`)."""
     if k < 0:
         raise DomainError(f"c_coeff needs k >= 0, got {k!r}")
     q = (tau * tau - 0.25) ** 2
     if k == 0:
-        lin = integrate_eta_weighted(
-            lambda y: (-y ** 3 * J_tau(tau, y, 3, cfg)
-                       - 4.5 * y * y * J_tau(tau, y, 2, cfg)
-                       - 0.25 * (11.0 - 8.0 * tau * tau) * y * J_tau(tau, y, 1, cfg)
-                       + 0.125 * (1.0 + 8.0 * tau * tau) * J_tau(tau, y, 0, cfg)),
-            tau, cfg, decay_rate=2.0 * math.pi, scale=1e4).value
-        return lin + q * a_coeff(tau, 0, cfg)
+        lin, cub = _j_lin_cub(tau, cfg)
+        return -0.5 * cub + (tau * tau + 0.125) * lin + q * a_coeff(tau, 0, cfg)
     if k == 1:
-        lin = integrate_eta_weighted(
-            lambda y: y * J_tau(tau, y, 1, cfg) + 0.5 * J_tau(tau, y, 0, cfg),
-            tau, cfg, decay_rate=2.0 * math.pi, scale=30.0).value
-        return (lin - 0.5 * q * a_coeff(tau, 1, cfg)
+        lin, _ = _j_lin_cub(tau, cfg)
+        return (0.5 * lin - 0.5 * q * a_coeff(tau, 1, cfg)
                 + 2.0 * (tau * tau + 0.25) * a_coeff(tau, 0, cfg))
     sign = -1.0 if k % 2 else 1.0
     return sign / math.factorial(2 * k) * (

@@ -1,6 +1,6 @@
-"""Adaptive integration engines.
+"""Integration engines: adaptive ones, and the fixed rule of the node tables.
 
-Four entry points cover every integral in the library:
+Four adaptive entry points cover every integral that is not read from a table:
 
   integrate_finite          adaptive Gauss-Kronrod 7/15 on [a, b]
   integrate_semi_infinite   [a, inf) with an explicit exponential tail cutoff
@@ -11,6 +11,11 @@ Four entry points cover every integral in the library:
 
 All engines report value, error estimate, evaluation count and (where one was
 chosen) the truncation point.
+
+The node tables (the W table and the J/eta table in `modulus`, the U table in
+`xi`) share one fixed rule: `chebyshev_fejer` gives the Chebyshev points of the
+first kind on [0, b] with their Fejer type-1 and barycentric weights, and
+`barycentric` reads the polynomial through values at such points.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .config import EvalConfig
 from .errors import ConvergenceError, EvaluationError
@@ -301,3 +308,37 @@ def integrate_oscillatory_cos(
         evals += part.evals
 
     return QuadResult(total.value, err_total, evals, truncation_point=x_max)
+
+
+# ---------------------------------------------------------------------------
+# The fixed rule of the node tables
+# ---------------------------------------------------------------------------
+
+BARY_BLOCK = 1 << 16    # points per block of `barycentric`
+
+
+def chebyshev_fejer(n: int, b: float) -> tuple:
+    """The n Chebyshev points of the first kind on [0, b], their Fejer type-1
+    weights (Waldvogel, BIT 46, 2006), which sum to n, so that b/n times them is
+    the rule on [0, b], and their barycentric weights (-1)^j sin(theta_j)."""
+    theta = (2 * np.arange(n) + 1) * math.pi / (2 * n)
+    k = np.arange(1, n // 2 + 1)
+    fejer = 1.0 - 2.0 * (np.cos(2.0 * np.outer(theta, k)) / (4 * k * k - 1)).sum(axis=1)
+    return 0.5 * b * (1.0 - np.cos(theta)), fejer, (-1.0) ** np.arange(n) * np.sin(theta)
+
+
+def barycentric(values: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+    """The polynomial through `values` at `nodes`, whose barycentric weights are
+    `weights`, at the points x (1-d), by the barycentric second form (Berrut &
+    Trefethen, SIAM Review 46, 2004).  Points go in blocks of BARY_BLOCK with
+    len(nodes) floats of temporaries each."""
+    weighted = np.stack([weights * values, weights], axis=1)
+    out = np.empty(len(x))
+    for i in range(0, len(x), BARY_BLOCK):
+        d = np.subtract.outer(x[i:i + BARY_BLOCK], nodes)
+        d[d == 0.0] = 1e-300   # x on a node: that node's term decides alone
+        num_den = np.reciprocal(d, out=d) @ weighted
+        out[i:i + BARY_BLOCK] = num_den[:, 0] / num_den[:, 1]
+        del d   # freed before the next block is allocated
+    return out

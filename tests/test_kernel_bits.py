@@ -9,11 +9,16 @@ as their integrals were first written out term by term, one route per
 function; sharing code between the routes must not move them.  The J/eta
 pins are `modulus_rhs_via_J` and two masses of its node table (`_j_masses`:
 the largest, and the one at the middle node) as the table first gave them.
+The rule pins are the SHA-256 digests of the W table's rule arrays and of its
+masses at sigma 0.75, and one fixed-rule transform, as each was first written
+out inside `modulus`; moving the rule into `quadrature` must not move them.
 """
+
+import hashlib
 
 import pytest
 
-from xi_ineq import theta
+from xi_ineq import modulus, theta
 from xi_ineq.modulus import S_T_constants, _j_masses, calG, modulus_rhs_via_J
 
 # y = 0.05 takes a few hundred terms, so the J tables grow; y = 3 stops at the floor
@@ -82,6 +87,16 @@ BITS_J_ROUTE = {   # modulus_rhs_via_J(0.25, 5.0) and _j_masses(0.25)[i]
     64: '0x1.49e037b0470c1p-35',
 }
 
+BITS_RULE = {   # SHA-256 of the arrays' bytes
+    '_X': '121a2b6d1a1098c44d77dbdfedfe45d0fc8e99c09686847e77716d9ba0906dd3',
+    '_XT': 'aa6ab757525d180906d4877cbd0867ed5e6884a1202e788008478f198d234a5a',
+    '_FEJER': 'de0ddbe8c5464f3f2559110c8578366574b8687b8690d65d5dc41e031e50201b',
+    '_WEIGHTS_T': 'f94fea9449e66e2b09ed0e966fd0efad678675cfb3d0f6e533c203b597685507',
+    '_BARY': 'fa3cfd8fab1b58146bd1eb575d7afe2932b9ff43233af7ff94caf0ba194e098b',
+    'w_table_masses_0.75': '90efc2b9703811ec430dd5e1c1c714207f1fcdb04042d044547980b88933cf89',
+    'w_cos_fixed_0.75_5': '0x1.843b0a168a05ap-12',
+}
+
 
 @pytest.mark.parametrize("key", sorted(BITS_J))
 def test_J_tau_bits(key):
@@ -114,3 +129,14 @@ def test_J_route_bits():
     got = {'modulus_rhs_via_J': modulus_rhs_via_J(0.25, 5.0).hex(),
            14: float(masses[14]).hex(), 64: float(masses[64]).hex()}
     assert got == BITS_J_ROUTE
+
+
+def test_W_rule_bits():
+    def digest(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
+    got = {name: digest(getattr(modulus, name))
+           for name in ("_X", "_XT", "_FEJER", "_WEIGHTS_T", "_BARY")}
+    got['w_table_masses_0.75'] = digest(modulus._w_table(0.75).masses)
+    got['w_cos_fixed_0.75_5'] = modulus.w_cos_fixed(0.75, 5.0).hex()
+    assert got == BITS_RULE

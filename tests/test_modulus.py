@@ -349,6 +349,18 @@ class TestPowerSeries:
             lo, hi = sorted((partials[k], partials[k + 1]))
             assert lo - 1e-12 <= oracle <= hi + 1e-12
 
+    def test_low_coefficients_make_no_eta_integral_of_their_own(self, cfg, monkeypatch):
+        # c(0) and c(1) read _j_lin_cub and _j_masses; once those are cached
+        # (as after verify-modulus), no eta-weighted integral runs
+        _j_lin_cub(0.25, cfg)
+        _j_masses(0.25, cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eta-weighted integral")
+
+        monkeypatch.setattr(modulus, "integrate_eta_weighted", refuse)
+        assert c_coeff(0.25, 0, cfg) > 0.0 > c_coeff(0.25, 1, cfg)
+
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_moment_identity(self, cfg, k):
         moment = integrate_finite(

@@ -1,13 +1,14 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from xi_ineq.config import EvalConfig
 from xi_ineq.errors import ConvergenceError, EvaluationError
-from xi_ineq.quadrature import (NeumaierSum, integrate_eta_weighted,
-                                integrate_finite, integrate_oscillatory_cos,
-                                integrate_semi_infinite)
+from xi_ineq.quadrature import (NeumaierSum, barycentric, chebyshev_fejer,
+                                integrate_eta_weighted, integrate_finite,
+                                integrate_oscillatory_cos, integrate_semi_infinite)
 
 
 class TestFinite:
@@ -134,6 +135,25 @@ class TestOscillatory:
     def test_low_frequency_path(self, cfg):
         r = integrate_oscillatory_cos(lambda x: math.exp(-x), 0.5, 0.0, 1.0, cfg)
         assert abs(r.value - 1.0 / 1.25) < 1e-11
+
+
+class TestFixedRule:
+    @pytest.mark.parametrize("n, b", [(64, 2.4), (96, 3.4), (128, 2.4)])
+    def test_fejer_rule_integrates_monomials(self, n, b):
+        x, fejer, _ = chebyshev_fejer(n, b)
+        assert np.all((0.0 < x) & (x < b))
+        for k in (0, 1, 7, n - 1):
+            exact = b ** (k + 1) / (k + 1)
+            assert abs(b / n * fejer @ (x ** k) - exact) <= 1e-13 * exact
+
+    def test_barycentric_reproduces_a_polynomial(self):
+        x, _, bary = chebyshev_fejer(12, 3.4)
+        poly = np.polynomial.Polynomial([1.0, -2.0, 0.5, 0.25, -0.125])
+        points = np.linspace(0.0, 3.4, 101)
+        got = barycentric(poly(x), x, bary, points)
+        assert np.max(np.abs(got - poly(points))) <= 1e-13
+        on_node = barycentric(poly(x), x, bary, x[3:4])[0]   # the node's term decides alone
+        assert on_node == pytest.approx(poly(x[3]), rel=1e-15)
 
 
 def test_neumaier_compensation():

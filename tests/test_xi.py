@@ -1,11 +1,16 @@
+import importlib
 import math
 
 import pytest
 
-from conftest import xi_reference
+from conftest import xi_mod_sq_reference, xi_reference
+from xi_ineq.errors import ConvergenceError
 from xi_ineq.quadrature import integrate_finite
-from xi_ineq.xi import (U_sigma, char_fn_Xi, density_P, density_Pbar, xi,
-                        xi_mod_sq, xi_mod_sq_via_U)
+from xi_ineq.xi import (_U_PROBES, _U_X, U_sigma, _u_table, char_fn_Xi, density_P,
+                        density_Pbar, xi, xi_mod_sq, xi_mod_sq_via_U, xi_real)
+
+# the package exports the function xi, which hides the module of the same name
+xi_module = importlib.import_module("xi_ineq.xi")
 
 # this oracle at tightened tolerance, cross-checked against the Gamma*zeta route
 XI_HALF = 0.49712077818831411
@@ -116,6 +121,39 @@ class TestUSigma:
         route = xi_mod_sq_via_U(sigma, t, cfg)
         oracle = xi_mod_sq(sigma, t, cfg)
         assert abs(route - oracle) <= 1e-6 * abs(oracle)
+
+
+class TestUTable:
+    """The correlation route's fixed rule: one certified table of U_sigma per sigma."""
+
+    @pytest.mark.parametrize("sigma", [0.55, 0.6, 0.75, 0.9])
+    def test_route_matches_mpmath(self, cfg, sigma):
+        floor = xi_real(sigma, cfg) ** 2
+        for t in (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 25.0):
+            want = xi_mod_sq_reference(sigma, t)
+            assert abs(xi_mod_sq_via_U(sigma, t, cfg) - want) <= 1e-14 * max(floor, want), t
+
+    def test_certification_rejects_a_node_off_by_1e7(self, cfg, monkeypatch):
+        # the node next to the second probe
+        bad_node = float(_U_X[8])
+        assert _U_X[8] < _U_PROBES[1] < _U_X[9]
+
+        def off(sigma, y, form="two_term", cfg=cfg, abs_tol=None):
+            return U_sigma(sigma, y, form, cfg, abs_tol) + (1e-7 if y == bad_node else 0.0)
+
+        monkeypatch.setattr(xi_module, "U_sigma", off)
+        _u_table.cache_clear()
+        with pytest.raises(ConvergenceError, match="certification") as exc:
+            _u_table(0.75, cfg)
+        assert exc.value.partial > 1e-8
+
+    def test_masses_are_read_only(self, cfg):
+        masses = _u_table(0.75, cfg)
+        with pytest.raises(ValueError):
+            masses[0] = 0.0
+
+    def test_cache_is_bounded(self):
+        assert isinstance(_u_table.cache_info().maxsize, int)
 
 
 class TestDensityPbar:
