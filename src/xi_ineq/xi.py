@@ -18,11 +18,15 @@ certified table per sigma (`_u_table`): U_sigma at the 96 Chebyshev points of
 the first kind on [0, 3.4], times their Fejer type-1 weights.  Past 3.4 U's
 doubly exponential decay has taken it below 1e-30 of U(0), so the support is cut
 there; the rule stays on the half line, because U's even extension is not
-smooth at y = 0.  The polynomial through the node values is checked against
-U_sigma at 12 probes between the nodes before the table is used, and each t is
-one exactly summed product with the masses.  U_sigma is computed here from H
-alone, so the route shares only the rule with the Hcal, Gcal and J/eta tables
-of `modulus`.
+smooth at y = 0.  The node values come from the full-line form
+U_sigma(y) = int g(x) g(x+y) dx, g(x) = H(e^x) e^{(1-sigma)x}, as one uniform
+trapezoid sum (`_u_line_sum`): g is analytic in a strip and exactly 0.0 in
+double precision outside |x| <= 2.73, so the sum converges exponentially in its
+step.  The polynomial through the node values is checked against U_sigma, a
+different quadrature, at 12 probes between the nodes before the table is used,
+and each t is one exactly summed product with the masses.  U_sigma and the line
+sum are computed here from H alone, so the route shares only the rule with the
+Hcal, Gcal and J/eta tables of `modulus`.
 """
 
 from __future__ import annotations
@@ -85,10 +89,15 @@ def density_P(sigma: float, y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float
         P_sigma(y) = H(e^{-y}) e^{-sigma y} / (2 xi(sigma))      y <= 0
                      H(e^{y}) e^{(1-sigma) y} / (2 xi(sigma))    y > 0
     """
-    norm = 2.0 * xi_real(sigma, cfg)
-    if y <= 0.0:
-        return theta_H(math.exp(-y), cfg) * math.exp(-sigma * y) / norm
-    return theta_H(math.exp(y), cfg) * math.exp((1.0 - sigma) * y) / norm
+    return _g(sigma, y, cfg) / (2.0 * xi_real(sigma, cfg))
+
+
+def _g(sigma: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+    """g(x) = H(e^x) e^{(1-sigma)x}, which equals H(e^{-x}) e^{-sigma x} by
+    H(1/w) = w H(w): the density_P numerator, analytic in |Im x| < pi/4."""
+    if x <= 0.0:
+        return theta_H(math.exp(-x), cfg) * math.exp(-sigma * x)
+    return theta_H(math.exp(x), cfg) * math.exp((1.0 - sigma) * x)
 
 
 # H(e^z) dies like exp(-pi e^{2z}); beyond this z every H factor underflows
@@ -111,8 +120,9 @@ def U_sigma(sigma: float, y: float, form: str = "two_term",
       + e^{sigma y}    int_0^inf H(e^{y+z}) H(e^z) e^{2 sigma z} dz
 
     Both decay like exp(-2 e^y) up to polynomial factors, so acceptance is
-    relative by default; the cosine-transform route passes an absolute target
-    instead (its tolerance is set by the transform, not by U's tiny tail).
+    relative by default.  Only the U table's certification probes pass an
+    absolute target (its tolerance is set by the transform, not by U's tiny
+    tail); the table's node values come from `_u_line_sum`.
     """
     if y < 0.0:
         raise DomainError(f"U_sigma needs y >= 0, got {y!r}")
@@ -154,24 +164,42 @@ _U_NODES = 96       # the U rule: 64 nodes are 7e-10 off at t = 25 (scaled), 96 
 _U_X, _U_FEJER, _U_BARY = chebyshev_fejer(_U_NODES, _U_SUPPORT)
 _U_WEIGHTS = _U_SUPPORT / _U_NODES * _U_FEJER
 _U_PROBES = (0.5 * (_U_X[1:] + _U_X[:-1]))[::8]     # 12 midpoints between nodes
+# the line sum's step: its aliasing error falls like exp(-2 pi d / h) for g analytic
+# in |Im x| < d = pi/4; against U_sigma at the table's target the node values are
+# 7e-6 off (absolute, U(0) ~ 1.28) at h = 0.2, 5e-15 at 0.1 and 4.4e-16 at 1/16
+_U_STEP = 1.0 / 16.0
+
+
+def _u_line_sum(sigma: float, ys, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """U_sigma(y) = int_{-inf}^{inf} g(x) g(x+y) dx at each y >= 0 in ys, by the
+    trapezoid rule of step _U_STEP on the whole line (Trefethen & Weideman, SIAM
+    Review 56, 2014): h * fsum_k g(kh) g(kh + y).  g is exactly 0.0 in double
+    precision for |x| > _H_LOG_CUT, so the window truncates nothing and the terms
+    whose shifted factor lies past it are skipped.  Accurate in absolute terms
+    only (8e-8 relative at y = 2.5), so U_sigma keeps its relative-accuracy
+    integrals."""
+    k_max = int(_H_LOG_CUT / _U_STEP)
+    xs = [_U_STEP * k for k in range(-k_max, k_max + 1)]
+    gs = [_g(sigma, x, cfg) for x in xs]
+    return np.array([
+        _U_STEP * math.fsum(gx * _g(sigma, x + y, cfg) for x, gx in zip(xs, gs)
+                            if x + y <= _H_LOG_CUT)
+        for y in map(float, ys)])
 
 
 @config_cache(maxsize=32)
 def _u_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """The Fejer masses w_j U_sigma(y_j) at the nodes _U_X, U_sigma at the transform's
-    absolute target 0.1 quad_abs_tol; read-only.  The polynomial through the node
-    values is certified against U_sigma at the same target at the 12 _U_PROBES, to
-    100 quad_abs_tol absolute in U, and ConvergenceError (partial: the worst
-    deviation) is raised when it misses."""
+    """The Fejer masses w_j U_sigma(y_j) at the nodes _U_X, the node values from
+    `_u_line_sum`; read-only.  The polynomial through the node values is certified
+    against U_sigma(..., "two_term", abs_tol=0.1 quad_abs_tol), a different
+    quadrature, at the 12 _U_PROBES, to 100 quad_abs_tol absolute in U, so the
+    check covers the line sum and the interpolation together; ConvergenceError
+    (partial: the worst deviation) is raised when it misses."""
+    values = _u_line_sum(sigma, _U_X, cfg)
     abs_tol = 0.1 * cfg.quad_abs_tol
-
-    def u(ys):
-        return np.array([U_sigma(sigma, float(y), "two_term", cfg, abs_tol=abs_tol)
-                         for y in ys])
-
-    values = u(_U_X)
-    worst = float(np.max(np.abs(barycentric(values, _U_X, _U_BARY, _U_PROBES)
-                                - u(_U_PROBES))))
+    probes = np.array([U_sigma(sigma, float(y), "two_term", cfg, abs_tol=abs_tol)
+                       for y in _U_PROBES])
+    worst = float(np.max(np.abs(barycentric(values, _U_X, _U_BARY, _U_PROBES) - probes)))
     limit = 100.0 * cfg.quad_abs_tol
     if worst > limit:
         raise ConvergenceError(

@@ -1,13 +1,15 @@
 import importlib
 import math
 
+import numpy as np
 import pytest
 
 from conftest import xi_mod_sq_reference, xi_reference
 from xi_ineq.errors import ConvergenceError
 from xi_ineq.quadrature import integrate_finite
-from xi_ineq.xi import (_U_PROBES, _U_X, U_sigma, _u_table, char_fn_Xi, density_P,
-                        density_Pbar, xi, xi_mod_sq, xi_mod_sq_via_U, xi_real)
+from xi_ineq.xi import (_H_LOG_CUT, _U_PROBES, _U_STEP, _U_X, U_sigma, _g, _u_line_sum,
+                        _u_table, char_fn_Xi, density_P, density_Pbar, xi, xi_mod_sq,
+                        xi_mod_sq_via_U, xi_real)
 
 # the package exports the function xi, which hides the module of the same name
 xi_module = importlib.import_module("xi_ineq.xi")
@@ -126,20 +128,59 @@ class TestUSigma:
 class TestUTable:
     """The correlation route's fixed rule: one certified table of U_sigma per sigma."""
 
-    @pytest.mark.parametrize("sigma", [0.55, 0.6, 0.75, 0.9])
+    @pytest.mark.parametrize("sigma", [0.55, 0.6, 0.75, 0.9, 0.95])
     def test_route_matches_mpmath(self, cfg, sigma):
         floor = xi_real(sigma, cfg) ** 2
         for t in (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 25.0):
             want = xi_mod_sq_reference(sigma, t)
             assert abs(xi_mod_sq_via_U(sigma, t, cfg) - want) <= 1e-14 * max(floor, want), t
 
+    @pytest.mark.parametrize("sigma", [0.55, 0.95])
+    def test_line_sum_matches_U_sigma_at_the_nodes(self, cfg, sigma):
+        ys = _U_X[::8]
+        line = _u_line_sum(sigma, ys, cfg)
+        for y, value in zip(ys, line):
+            want = U_sigma(sigma, float(y), "two_term", cfg, abs_tol=0.1 * cfg.quad_abs_tol)
+            assert abs(value - want) <= 1e-14, y
+
+    @pytest.mark.parametrize("sigma", [0.55, 0.95])
+    def test_line_sum_window_truncates_nothing(self, cfg, sigma):
+        edge = _H_LOG_CUT + _U_STEP
+        assert _g(sigma, edge, cfg) == 0.0
+        assert _g(sigma, -edge, cfg) == 0.0
+        assert _g(sigma, 0.0, cfg) > 0.0
+
+    def test_build_calls_U_sigma_only_at_the_probes(self, cfg, monkeypatch):
+        ys = []
+
+        def counted(sigma, y, form="two_term", cfg=cfg, abs_tol=None):
+            ys.append(y)
+            return U_sigma(sigma, y, form, cfg, abs_tol)
+
+        monkeypatch.setattr(xi_module, "U_sigma", counted)
+        _u_table.cache_clear()
+        _u_table(0.75, cfg)
+        assert len(ys) == len(_U_PROBES)
+
     def test_certification_rejects_a_node_off_by_1e7(self, cfg, monkeypatch):
         # the node next to the second probe
         bad_node = float(_U_X[8])
         assert _U_X[8] < _U_PROBES[1] < _U_X[9]
 
+        def off(sigma, ys, cfg=cfg):
+            return _u_line_sum(sigma, ys, cfg) + np.where(ys == bad_node, 1e-7, 0.0)
+
+        monkeypatch.setattr(xi_module, "_u_line_sum", off)
+        _u_table.cache_clear()
+        with pytest.raises(ConvergenceError, match="certification") as exc:
+            _u_table(0.75, cfg)
+        assert exc.value.partial > 1e-8
+
+    def test_certification_rejects_a_probe_off_by_1e7(self, cfg, monkeypatch):
+        bad_probe = float(_U_PROBES[1])
+
         def off(sigma, y, form="two_term", cfg=cfg, abs_tol=None):
-            return U_sigma(sigma, y, form, cfg, abs_tol) + (1e-7 if y == bad_node else 0.0)
+            return U_sigma(sigma, y, form, cfg, abs_tol) + (1e-7 if y == bad_probe else 0.0)
 
         monkeypatch.setattr(xi_module, "U_sigma", off)
         _u_table.cache_clear()
