@@ -27,8 +27,9 @@ class EvalConfig:
 
     def __post_init__(self):
         for name in ("series_tol", "quad_rel_tol", "quad_abs_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
         for name in ("series_max_terms", "quad_max_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -102,11 +103,15 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_mapping(mapping: dict, base: EvalConfig | None = None) -> EvalConfig:
-    """Build an EvalConfig from string values, starting from `base`."""
+    """Build an EvalConfig from string values, starting from `base`.
+
+    An unknown key raises ValueError: a misspelled tolerance would otherwise
+    leave the default in force without a word.
+    """
     base = base or DEFAULT_CONFIG
     kwargs = {}
     for key, value in mapping.items():
         if key not in _FIELD_TYPES:
-            continue
+            raise ValueError(f"unknown config key {key!r}; known keys: {', '.join(_FIELD_TYPES)}")
         kwargs[key] = _FIELD_TYPES[key](value)
     return replace(base, **kwargs) if kwargs else base

@@ -9,6 +9,16 @@ make small arguments exactly reducible to large ones; every routine here routes
 y < 1 through them, because the direct series converges slowly near 0 and the
 combinations yR(y)+y-1 and y^2 R'(y)+1 cancel catastrophically there.
 
+R and R' are memoized in bounded lru_caches (2,048 and 512 entries, more
+than the distinct arguments of a cross-check run).  R does not depend on sigma,
+and the adaptive quadratures on [1, x_max] sample the same abscissae at every
+sigma and t, so the oracle xi(), S/T routes A and C, the stable combinations
+and the convolution form of W compute each series value once; a hit returns
+the double the series gave, so every result is bit-identical.  H and J_tau are
+not memoized: H's arguments barely repeat (about 8,900 distinct in 12,100
+calls of a cross-check run) and J_tau's never do, so a table would cost
+memory for little or no reuse.
+
 Also here: the double series J_tau and its derivatives (divisor-sum accelerated),
 the weight eta_tau, and the sup-constants used in the tail bounds.
 """
@@ -37,6 +47,7 @@ def _series(term, cfg: EvalConfig) -> float:
         f"series cap {cfg.series_max_terms} reached", partial=total)
 
 
+@lru_cache(maxsize=2048)   # a cross-check run asks for about 1,560 distinct arguments
 def theta_R(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """R(y) = 2 sum exp(-pi n^2 y^2); y < 1 via R(y) = (1 - y + R(1/y))/y."""
     if not y > 0.0:
@@ -51,6 +62,7 @@ def theta_R(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     return _series(term, cfg)
 
 
+@lru_cache(maxsize=512)    # and for about 390 distinct arguments of R'
 def theta_R_prime(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """R'(y) = -4 pi y sum n^2 exp(-pi n^2 y^2), inversion-stable for y < 1."""
     if not y > 0.0:

@@ -83,6 +83,33 @@ class TestConfigFile:
         code, _ = run_cli(capsys, "constants", "--config", "/nonexistent/path")
         assert code == 3
 
+    def test_misspelled_key_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("quad_abstol = 1e-3\n")
+        code = main(["constants", "--sigma", "0.75", "--method", "B_series",
+                     "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "xi-ineq: config error: unknown config key 'quad_abstol'; known keys: "
+            "series_tol, series_max_terms, quad_rel_tol, quad_abs_tol, quad_max_depth"]
+
+    @pytest.mark.parametrize("line", ["quad_abs_tol = inf", "quad_rel_tol = nan",
+                                      "series_tol = -inf"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, tmp_path, line):
+        path = tmp_path / "cfg.txt"
+        path.write_text(line + "\n")
+        code = main(["verify-modulus", "--sigma", "0.75", "--t-list", "0",
+                     "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("xi-ineq: config error: ")
+        assert "must be finite and strictly positive" in err[0]
+
 
 class TestCommands:
     def test_constants_all_methods_pass(self, capsys):
@@ -319,6 +346,7 @@ class TestCommands:
                 if callable(obj) and hasattr(obj, "cache_info"):
                     bounds[f"{info.name}.{name}"] = obj.cache_info().maxsize
         assert {"xi_ineq.theta.divisor_sigma", "xi_ineq.theta._j_table",
+                "xi_ineq.theta.theta_R", "xi_ineq.theta.theta_R_prime",
                 "xi_ineq.modulus._j_masses", "xi_ineq.modulus._j_lin_cub"} <= set(bounds)
         assert all(isinstance(m, int) for m in bounds.values()), bounds
 

@@ -169,3 +169,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(quad_max_depth=0)
     assert EvalConfig().truncation_point(1.0) > 0.0
+
+
+@pytest.mark.parametrize("name", ["series_tol", "quad_rel_tol", "quad_abs_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+def test_config_rejects_non_finite_tolerances(name, value):
+    with pytest.raises(ValueError, match=name):
+        EvalConfig(**{name: value})

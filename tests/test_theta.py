@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from xi_ineq import theta
 from xi_ineq.config import EvalConfig
 from xi_ineq.errors import ConvergenceError, DomainError
+from xi_ineq.modulus import S_T_constants
 from xi_ineq.theta import (J_tau, divisor_sigma, eta_tau, stable_combo_A,
                            stable_combo_B, sup_constant_C, sup_constant_Cn,
                            theta_G, theta_H, theta_R, theta_R_prime,
@@ -261,3 +263,57 @@ class TestTruncatedSeries:
         got = theta_R_truncated(0.1, 5)
         want = 2.0 * sum(math.exp(-math.pi * n * n * 0.01) for n in range(1, 6))
         assert got == pytest.approx(want, rel=1e-15)
+
+
+MEMO_GRID = [0.3, 0.7, 1.0, 1.6, 3.0]
+
+
+class TestMemoTables:
+    """R and R' are memoized; a table entry must be the series' own double."""
+
+    @staticmethod
+    def _uncached(monkeypatch, cfg):
+        # route the y < 1 recursion through the bare functions as well
+        monkeypatch.setattr(theta, "theta_R", theta_R.__wrapped__)
+        monkeypatch.setattr(theta, "theta_R_prime", theta_R_prime.__wrapped__)
+        values = {y: (theta_R.__wrapped__(y, cfg), theta_R_prime.__wrapped__(y, cfg))
+                  for y in MEMO_GRID}
+        monkeypatch.undo()
+        return values
+
+    def test_cached_values_are_bit_identical_cold_and_warm(self, monkeypatch, cfg):
+        want = self._uncached(monkeypatch, cfg)
+        theta_R.cache_clear()
+        theta_R_prime.cache_clear()
+        for y in MEMO_GRID:
+            cold = (theta_R(y, cfg), theta_R_prime(y, cfg))
+            warm = (theta_R(y, cfg), theta_R_prime(y, cfg))
+            assert [v.hex() for v in cold] == [v.hex() for v in want[y]], y
+            assert [v.hex() for v in warm] == [v.hex() for v in want[y]], y
+        assert theta_R.cache_info().hits >= len(MEMO_GRID)
+        assert theta_R_prime.cache_info().hits >= len(MEMO_GRID)
+
+    def test_second_sigma_reuses_the_series_values(self, cfg):
+        xi_module = importlib.import_module("xi_ineq.xi")
+        ts = (0.0, 1.0, 5.0, 10.0, 20.0)
+
+        def run(sigma):
+            for method in ("A_direct", "C_inversion"):
+                S_T_constants(sigma, method, cfg)
+            for t in ts:
+                xi_module.xi_mod_sq(sigma, t, cfg)
+
+        def counts():
+            r, p = theta_R.cache_info(), theta_R_prime.cache_info()
+            return r.hits + r.misses + p.hits + p.misses, r.misses + p.misses
+
+        theta_R.cache_clear()
+        theta_R_prime.cache_clear()
+        run(0.75)
+        calls0, misses0 = counts()
+        run(0.6)
+        calls1, misses1 = counts()
+        # R does not depend on sigma and the abscissae depend only on the
+        # interval: measured 0 new values in about 8,800 calls
+        assert calls1 - calls0 > 1000
+        assert misses1 - misses0 <= 0.01 * (calls1 - calls0)
