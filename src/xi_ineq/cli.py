@@ -88,7 +88,9 @@ def render_json(obj) -> str:
     return "".join(out) + "\n"
 
 
-def render_csv(rows: list, columns: list) -> str:
+def render_csv(rows: list) -> str:
+    """The rows under a header of the first row's keys."""
+    columns = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -109,8 +111,8 @@ def _report(command: str, inputs: dict, outputs: dict, status: str) -> dict:
     }
 
 
-def _emit(args, report: dict, rows: list, columns: list) -> None:
-    text = render_csv(rows, columns) if args.format == "csv" else render_json(report)
+def _emit(args, report: dict, rows: list) -> None:
+    text = render_csv(rows) if args.format == "csv" else render_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -183,8 +185,7 @@ def cmd_constants(args, cfg: EvalConfig) -> int:
     outputs = {"rows": rows, "sign_facts_ok": signs_ok, "methods_agree": agree_ok}
     report = _report("constants", {"sigma": sigmas, "methods": methods,
                                    "paper_truncation": args.paper_truncation}, outputs, status)
-    _emit(args, report, rows,
-          ["sigma", "method", "paper_truncation", "S", "T", "err_est", "truncation"])
+    _emit(args, report, rows)
     return _status_exit(status)
 
 
@@ -211,8 +212,7 @@ def cmd_verify_modulus(args, cfg: EvalConfig) -> int:
                      {"sigma": sigmas, "t": ts},
                      {"rows": rows, "max_rel_err": worst, "max_rel_err_J": worst_j},
                      status)
-    _emit(args, report, rows,
-          ["sigma", "t", "oracle", "representation", "J_eta_route", "rel_err", "rel_err_J"])
+    _emit(args, report, rows)
     return _status_exit(status)
 
 
@@ -237,7 +237,7 @@ def cmd_scan(args, cfg: EvalConfig) -> int:
     report = _report("scan", {"sigma": sigmas, "t_max": args.t_max,
                               "step": args.step, "route": args.route},
                      {"rows": rows, "summaries": summaries}, status)
-    _emit(args, report, rows, ["sigma", "t", "value"])
+    _emit(args, report, rows)
     return _status_exit(status)
 
 
@@ -266,7 +266,7 @@ def cmd_coeffs(args, cfg: EvalConfig) -> int:
                      {"rows": rows, "partial_sum_at_t_check": partial,
                       "oracle_at_t_check": oracle, "partial_sum_matches": match},
                      status)
-    _emit(args, report, rows, ["k", "a", "c", "sign_ok", "bound", "bound_ok"])
+    _emit(args, report, rows)
     return _status_exit(status)
 
 
@@ -276,8 +276,8 @@ def cmd_montecarlo(args, cfg: EvalConfig) -> int:
     above it, and `indeterminate` in between."""
     sigma = args.sigma
     rows = []
-    for t in args.t_list:
-        rep = mc_check(sigma, t, args.samples, args.seed, cfg)
+    for rep in mc_check(sigma, args.t_list, args.samples, args.seed, cfg):
+        t = rep.t
         bound = mm_bound(sigma, t, cfg)
         within = abs(rep.estimate - rep.deterministic_value) <= 4.0 * max(rep.std_error, 1e-12)
         margin = 4.0 * rep.std_error
@@ -305,10 +305,7 @@ def cmd_montecarlo(args, cfg: EvalConfig) -> int:
     report = _report("montecarlo", {"sigma": sigma, "t": args.t_list,
                                     "samples": args.samples, "seed": args.seed},
                      {"rows": rows}, status)
-    _emit(args, report, rows,
-          ["sigma", "t", "estimate", "std_error", "deterministic", "bound_rhs",
-           "within_4se", "inequality_holds", "verdict", "acceptance_rate", "seed",
-           "n_samples"])
+    _emit(args, report, rows)
     return _status_exit(status)
 
 
@@ -326,7 +323,7 @@ def cmd_autocorr(args, cfg: EvalConfig) -> int:
                                   "step": args.step},
                      {"rows": rows, "zero_scan": scan, "a0_is_one": a0_ok,
                       "bounded_by_one": bounded}, status)
-    _emit(args, report, rows, ["sigma", "t", "A"])
+    _emit(args, report, rows)
     return _status_exit(status)
 
 
@@ -352,9 +349,7 @@ def cmd_reproduce_appendix(args, cfg: EvalConfig) -> int:
     status = "pass" if ok else "fail"
     report = _report("reproduce-appendix", {"sigma": 0.75},
                      {"rows": rows}, status)
-    _emit(args, report, rows,
-          ["recipe", "constant", "computed", "published", "rel_err",
-           "matches_1e4", "truncation"])
+    _emit(args, report, rows)
     return _status_exit(status)
 
 
@@ -403,7 +398,7 @@ def cmd_selftest(args, cfg: EvalConfig) -> int:
     ok = all(c["ok"] for c in checks)
     status = "pass" if ok else "fail"
     report = _report("selftest", {}, {"checks": checks}, status)
-    _emit(args, report, checks, ["name", "ok", "detail"])
+    _emit(args, report, checks)
     return _status_exit(status)
 
 

@@ -10,9 +10,13 @@ and the probabilistic rereadings of it:
     explicit ceiling-formula truncation levels and their tail bound;
   * the Monte-Carlo reading (E[cos(t X_sigma)] against a closed bound) with a
     rejection sampler whose proposal is exponential and whose envelope is the
-    uniform bound W_sigma < 2 C^2;
+    uniform bound W_sigma < 2 C^2: one draw per call serves every t;
   * the positive kernel K_sigma, its Fourier transform, the normalized
     autocorrelation A_sigma(t), and the search for its first zero.
+
+Every per-sigma object they read (S and T, the density of W e^{-sigma x}, its
+moments and its cosine transform) comes from the one record `modulus._w_table`;
+this module keeps no cache of its own.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from .config import DEFAULT_CONFIG, EvalConfig, config_cache
+from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DomainError
-from .modulus import (_FEJER, _NODES, _W_CUT, _X, _density, _w_table,
-                      calH, constants, modulus_rhs_via_J, w_cos_fixed, W_sigma)
+from .modulus import (_W_CUT, _cos_taylor_terms, _scaled_moments, _w_table, calH,
+                      constants, modulus_rhs_via_J, w_cos_fixed, W_sigma)
 from .quadrature import BARY_BLOCK, integrate_finite
 from .theta import sup_constant_C, sup_constant_Cn
 
@@ -127,25 +131,7 @@ def scan_inequality(sigma: float, t_max: float, step: float,
 # ---------------------------------------------------------------------------
 
 _MOMENT_CAP = 200   # (2n)! growth makes terms vanish far below this in practice
-
-
-def _cos_taylor_terms(sigma: float, N1: int, n_hi: int, t: float, cfg: EvalConfig):
-    """int_0^N1 W e^{-sigma x} (tx)^{2n}/(2n)! dx, n = 0..n_hi, by one Fejer rule on
-    [0, min(N1, _W_CUT)]; running products keep each (tx)^{2n}/(2n)! < e^{tx}."""
-    b = min(float(N1), _W_CUT)
-    xs = b / _W_CUT * _X
-    values = _w_table(sigma, cfg).values
-    dens = values if b == _W_CUT else _density(values, xs)   # at b = _W_CUT, xs is _X
-    k = np.arange(1, n_hi + 1)
-    steps = np.outer(1.0 / ((2 * k - 1) * (2 * k)), (t * xs) ** 2)
-    powers = np.vstack([np.ones_like(xs), np.cumprod(steps, axis=0)])
-    return powers @ (b / _NODES * _FEJER * dens)
-
-
-@config_cache(maxsize=64)
-def _scaled_moments(sigma: float, N1: int, n_hi: int, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
-    """mu_n = int_0^N1 W e^{-sigma x} x^{2n}/(2n)! dx for n = 0..n_hi."""
-    return tuple(float(m) for m in _cos_taylor_terms(sigma, N1, n_hi, 1.0, cfg))
+_POLY_STEP = 0.01   # the t-grid of check_poly_min_criterion
 
 
 def poly_approx_V(sigma: float, N1: int, N2: int, t: float,
@@ -207,21 +193,20 @@ def verify_tail_bound(levels: TruncationLevels,
 
 
 def check_poly_min_criterion(sigma: float, T: int, epsilon: float,
-                             cfg: EvalConfig = DEFAULT_CONFIG,
-                             n2_cap: int = _MOMENT_CAP,
-                             grid_step: float = 0.01) -> dict:
-    """Minimize the truncated polynomial over [0, T] and test it against eps/2.
+                             cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
+    """Minimize the truncated polynomial over the grid of step _POLY_STEP on [0, T]
+    and test it against eps/2.
 
     The formula's N2 is usually computationally absurd; the polynomial degree
-    is capped at the point where additional terms underflow and the
+    is capped at _MOMENT_CAP, where additional terms have underflowed, and the
     substitution is reported rather than looped on.
     """
     levels = truncation_levels(epsilon, sigma, T, cfg)
-    n2_used = min(levels.N2, n2_cap)
-    n_pts = int(round(T / grid_step))
+    n2_used = min(levels.N2, _MOMENT_CAP)
+    n_pts = int(round(T / _POLY_STEP))
     min_v, min_t = math.inf, 0.0
     for i in range(n_pts + 1):
-        t = i * grid_step
+        t = i * _POLY_STEP
         v = poly_approx_V(sigma, levels.N1, n2_used, t, cfg)
         if v < min_v:
             min_v, min_t = v, t
@@ -278,9 +263,10 @@ class XSigmaSampler:
             raise DomainError(f"sampler needs sigma in (1/2,1), got {sigma!r}")
         self.sigma = sigma
         self.envelope = 2.0 * sup_constant_C(cfg) ** 2
-        self._values = _w_table(sigma, cfg).values
+        self._table = _w_table(sigma, cfg)
         # the density's Chebyshev coefficients bound |W'| = |(dens' + sigma dens) e^{sigma x}|
-        dens = Chebyshev.interpolate(lambda x: _density(self._values, x), _NODES - 1, [0.0, _W_CUT])
+        dens = Chebyshev.interpolate(self._table.density, self._table.values.size - 1,
+                                     [0.0, _W_CUT])
         slope = (np.abs(dens.deriv().coef).sum()
                  + sigma * np.abs(dens.coef).sum()) * math.exp(sigma * _W_CUT)
         ws = self.w_table(np.linspace(0.0, _W_CUT, self._GRID))
@@ -296,7 +282,7 @@ class XSigmaSampler:
 
     def w_table(self, x: np.ndarray) -> np.ndarray:
         """W at the points x >= 0 (1-d), 0 beyond the support cut."""
-        w = np.maximum(_density(self._values, x), 0.0) * np.exp(self.sigma * np.minimum(x, _W_CUT))
+        w = np.maximum(self._table.density(x), 0.0) * np.exp(self.sigma * np.minimum(x, _W_CUT))
         return np.where(x >= _W_CUT, 0.0, w)
 
     def _squeeze(self, x: np.ndarray) -> np.ndarray:
@@ -342,30 +328,6 @@ class XSigmaSampler:
         return out, n / float(idx[-1] + 1)
 
 
-@config_cache(maxsize=8)
-def _sampler(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> XSigmaSampler:
-    return XSigmaSampler(sigma, cfg)
-
-
-_draw_cache: dict = {}   # at most one entry: the most recent (sigma, seed, cfg)
-
-
-def _cached_draw(sigma: float, n: int, seed: int, cfg: EvalConfig):
-    """Reuse draws across calls: sample(m) is a prefix of sample(n>m) for one
-    seed, so the largest draw for the most recent (sigma, seed, cfg) serves
-    every smaller request.  Acceptance rates are recovered from stored
-    proposal indices, keeping any prefix byte-identical to a fresh run at that
-    size.  Only one key is kept, because 1M draws hold 16 MB."""
-    key = (sigma, seed, cfg)
-    hit = _draw_cache.get(key)
-    if hit is None or hit[0].size < n:
-        hit = _sampler(sigma, cfg).sample_indexed(n, seed)
-        _draw_cache.clear()
-        _draw_cache[key] = hit
-    xs, idx = hit
-    return xs[:n], n / float(idx[n - 1] + 1)
-
-
 def mm_bound(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Right side of the expectation inequality:
     -(S + T t^2) / (Z (t^2+(1-sigma)^2)(t^2+sigma^2)), Z = int W e^{-sigma x} dx."""
@@ -375,18 +337,25 @@ def mm_bound(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     return -(s_val + t_val * t * t) / (z * poly)
 
 
-def mc_check(sigma: float, t: float, n_samples: int, seed: int,
-             cfg: EvalConfig = DEFAULT_CONFIG) -> MCReport:
-    """Monte-Carlo estimate of E[cos(t X_sigma)] with its quadrature twin."""
+def mc_check(sigma: float, ts, n_samples: int, seed: int,
+             cfg: EvalConfig = DEFAULT_CONFIG) -> list:
+    """Monte-Carlo estimates of E[cos(t X_sigma)] with their quadrature twins, one
+    MCReport per t of the sequence `ts`: one sampler and one draw of n_samples
+    serve every t."""
     if n_samples < 1000:
         raise DomainError(f"Monte-Carlo needs n_samples >= 1000, got {n_samples!r}")
-    xs, acc_rate = _cached_draw(sigma, n_samples, seed, cfg)
-    cos_vals = np.cos(t * xs)
-    estimate = float(np.mean(cos_vals))
-    std_error = float(np.std(cos_vals, ddof=1) / math.sqrt(n_samples))
-    deterministic = w_cos_fixed(sigma, t, cfg) / w_cos_fixed(sigma, 0.0, cfg)
-    return MCReport(sigma, t, estimate, std_error, n_samples, acc_rate, seed,
-                    deterministic)
+    if not 0 <= seed < 2 ** 128:
+        raise DomainError(f"Monte-Carlo needs a seed in [0, 2**128), got {seed!r}")
+    xs, acc_rate = XSigmaSampler(sigma, cfg).sample(n_samples, seed)
+    z = w_cos_fixed(sigma, 0.0, cfg)
+    reports = []
+    for t in ts:
+        cos_vals = np.cos(t * xs)
+        estimate = float(np.mean(cos_vals))
+        std_error = float(np.std(cos_vals, ddof=1) / math.sqrt(n_samples))
+        reports.append(MCReport(sigma, t, estimate, std_error, n_samples, acc_rate, seed,
+                                w_cos_fixed(sigma, t, cfg) / z))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +422,9 @@ def bisect_zero(f: Callable[[float], float], a: float, b: float,
 
 
 def scan_for_zero(f: Callable[[float], float], t_lo: float, t_max: float,
-                  step: float, noise_floor: float = 0.0, xtol: float = 1e-10) -> dict:
+                  step: float, noise_floor: float = 0.0) -> dict:
     """Walk the floats k * step in [t_lo, t_max], the grid of `scan_inequality`
-    and the CLI, for a sign change of f; bisect the first one found.
+    and the CLI, for a sign change of f; bisect the first one found to 1e-10.
 
     A change is trusted only when both endpoints clear `noise_floor` in
     magnitude (10x the local error estimate, for quadrature-backed f).
@@ -473,7 +442,7 @@ def scan_for_zero(f: Callable[[float], float], t_lo: float, t_max: float,
             min_v, min_t = f_t, t
         if (f_prev * f_t < 0.0 and abs(f_prev) > noise_floor
                 and abs(f_t) > noise_floor):
-            zero = bisect_zero(f, t_prev, t, f_prev, f_t, xtol)
+            zero = bisect_zero(f, t_prev, t, f_prev, f_t)
             return {"zero": zero, "min_value": min(min_v, 0.0), "min_t": min_t}
         t_prev, f_prev = t, f_t
     return {"zero": None, "min_value": min_v, "min_t": min_t}
@@ -490,6 +459,6 @@ def orthogonalization_scan(sigma: float, t_max: float, step: float = 0.5,
         raise DomainError(f"autocorrelation scan needs t_max >= 0, got {t_max!r}")
     noise = 1e4 * cfg.quad_abs_tol   # conservative 10x error floor for A values
     result = scan_for_zero(lambda t: autocorrelation_A(sigma, t, cfg),
-                           step, t_max, step, noise_floor=noise, xtol=1e-10)
+                           step, t_max, step, noise_floor=noise)
     return {"iota_found": result["zero"], "min_A": result["min_value"],
             "min_t": result["min_t"]}

@@ -26,11 +26,14 @@ x -> 2 ln x, W e^{-sigma x} = 2 e^{x/2} int_1^inf J_tau(e^x y) eta_tau(y) dy, so
 the moments a(k) behind the power-series coefficients c(k) of |xi|^2 in t^2, and
 the double integral of the J/eta route, are integrals of W e^{-sigma x} too.
 
-Every reader of the cosine transform takes it from one certified table of
-W e^{-sigma x} per sigma (`_w_table`, values from Hcal) by a fixed Fejer rule
-(`w_cos_fixed`).  The J/eta route and a(k) read the same rule's masses from one
-table per tau whose values come from J and eta alone (`_j_masses`).  The
-adaptive `w_cos_transform` stays as the independent cross-check of both.
+Each sigma has one read-only record, `_w_table`: W e^{-sigma x} at fixed nodes
+(values from Hcal), the masses of a fixed Fejer rule, and S and T by route B.
+Every reader of the cosine transform (`w_cos_fixed`), of the moments
+(`_scaled_moments`), of the sampler's density and of `constants` takes it from
+there.  The J/eta route, a(k) and c(k) read one record per tau, `_jeta_table`:
+the same rule's masses with values from J and eta alone, and the route's two
+t-independent integrals.  The adaptive `w_cos_transform` stays as the
+independent cross-check of both.
 """
 
 from __future__ import annotations
@@ -267,28 +270,31 @@ _XT, _FEJER_T, _ = chebyshev_fejer(_T_NODES, _W_CUT)
 _WEIGHTS_T = _W_CUT / _T_NODES * _FEJER_T      # the transform's rule at _XT
 
 
-def _density(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The polynomial through `values` at the nodes _X, at the points x (1-d).  The
-    sampler asks for at most BARY_BLOCK points a call, so its calls are not split."""
-    return barycentric(values, _X, _BARY, x)
-
-
 @dataclass(frozen=True)
 class WTable:
-    """One sigma's W e^{-sigma x}: `values` at the nodes _X, which `_density` reads,
-    and the Fejer masses w_j W e^{-sigma x_j} at the nodes _XT, so that
-    int_0^inf W e^{-sigma x} cos(tx) dx is cos(t _XT) @ masses.  Both read-only."""
+    """One sigma's record: W e^{-sigma x} `values` at the nodes _X, which `density`
+    reads; the Fejer masses w_j W e^{-sigma x_j} at the nodes _XT, so that
+    int_0^inf W e^{-sigma x} cos(tx) dx is cos(t _XT) @ masses; and route B's
+    constants S_sigma (`s`) and T_sigma (`t`).  All read-only."""
     values: np.ndarray
     masses: np.ndarray
+    s: float
+    t: float
+
+    def density(self, x: np.ndarray) -> np.ndarray:
+        """The polynomial through `values` at the nodes _X, at the points x (1-d).  The
+        sampler asks for at most BARY_BLOCK points a call, so its calls are not split."""
+        return barycentric(self.values, _X, _BARY, x)
 
 
 @config_cache(maxsize=32)
 def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> WTable:
     """W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma at the nodes _X, with Hcal at the
-    cosine transform's absolute target 0.1 quad_abs_tol.  `_density` through them is the
-    density that the transform, the moments and the sampler read; it is certified
-    against Hcal at the same target, to 1e-8 absolute in W, at the 57 _PROBES, and
-    ConvergenceError (partial: the worst deviation) is raised when it misses."""
+    cosine transform's absolute target 0.1 quad_abs_tol, and S, T by route B.  The
+    polynomial through the node values is the density that the transform, the moments
+    and the sampler read; it is certified against Hcal at the same target, to 1e-8
+    absolute in W, at the 57 _PROBES, and ConvergenceError (partial: the worst
+    deviation) is raised when it misses."""
     pref = 2.0 ** (sigma + 1.5) / math.pi
     abs_tol = 0.1 * cfg.quad_abs_tol
 
@@ -296,20 +302,40 @@ def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> WTable:
         return pref * np.array([calH(sigma, float(x), cfg, abs_tol=abs_tol) for x in xs])
 
     values = w_exp(_X)
-    worst = float(np.max(np.abs(_density(values, _PROBES) - w_exp(_PROBES))
+    worst = float(np.max(np.abs(barycentric(values, _X, _BARY, _PROBES) - w_exp(_PROBES))
                          * np.exp(sigma * _PROBES)))
     if worst > 1e-8:
         raise ConvergenceError(
             f"W table certification failed at sigma={sigma!r}: err {worst:.2e} > 1e-8", worst)
-    masses = _WEIGHTS_T * _density(values, _XT)
+    masses = _WEIGHTS_T * barycentric(values, _X, _BARY, _XT)
     values.flags.writeable = masses.flags.writeable = False
-    return WTable(values, masses)
+    s_value, t_value, _, _ = _st_method_B(sigma, cfg, False)
+    return WTable(values, masses, s_value, t_value)
 
 
 def w_cos_fixed(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """int_0^inf W_sigma(x) e^{-sigma x} cos(tx) dx by the fixed 128-node Fejer rule
     on `_w_table`'s certified density: one dot product per t."""
     return float(np.cos(t * _XT) @ _w_table(sigma, cfg).masses)
+
+
+def _cos_taylor_terms(sigma: float, N1: int, n_hi: int, t: float, cfg: EvalConfig):
+    """int_0^N1 W e^{-sigma x} (tx)^{2n}/(2n)! dx, n = 0..n_hi, by one Fejer rule on
+    [0, min(N1, _W_CUT)]; running products keep each (tx)^{2n}/(2n)! < e^{tx}."""
+    b = min(float(N1), _W_CUT)
+    xs = b / _W_CUT * _X
+    table = _w_table(sigma, cfg)
+    dens = table.values if b == _W_CUT else table.density(xs)   # at b = _W_CUT, xs is _X
+    k = np.arange(1, n_hi + 1)
+    steps = np.outer(1.0 / ((2 * k - 1) * (2 * k)), (t * xs) ** 2)
+    powers = np.vstack([np.ones_like(xs), np.cumprod(steps, axis=0)])
+    return powers @ (b / _NODES * _FEJER * dens)
+
+
+def _scaled_moments(sigma: float, N1: int, n_hi: int, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
+    """mu_n = int_0^N1 W e^{-sigma x} x^{2n}/(2n)! dx for n = 0..n_hi: one product
+    with `_w_table`'s density."""
+    return tuple(float(m) for m in _cos_taylor_terms(sigma, N1, n_hi, 1.0, cfg))
 
 
 def _w_exp_cutoff(cfg: EvalConfig) -> float:
@@ -480,11 +506,10 @@ def S_T_constants(sigma: float, method: str = "B_series",
     return ConstantsReport(sigma, s_value, t_value, method, trunc, err)
 
 
-@config_cache(maxsize=64)
 def constants(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG):
-    """Cached converged (S_sigma, T_sigma); the series route is the cheapest."""
-    report = S_T_constants(sigma, "B_series", cfg)
-    return report.s_value, report.t_value
+    """The converged (S_sigma, T_sigma) of `_w_table`'s record: route B, the cheapest."""
+    table = _w_table(sigma, cfg)
+    return table.s, table.t
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +525,23 @@ def modulus_rhs(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> flo
     return 0.5 * (s_val + t_val * t * t + poly * w_cos_fixed(sigma, t, cfg))
 
 
+@dataclass(frozen=True)
+class JTable:
+    """One tau's J/eta record, sigma = tau + 1/2: the Fejer masses of W e^{-sigma x}
+    at the nodes _XT valued from J and eta alone (read-only), and the J/eta route's
+    t-independent integrals lin = int [2y J' + J] eta dy and
+    cub = int y [2y^2 J''' + 9y J'' + 6 J'] eta dy."""
+    masses: np.ndarray
+    lin: float
+    cub: float
+
+
 @config_cache(maxsize=32)
-def _j_masses(tau: float, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """The Fejer masses of W e^{-sigma x} at the nodes _XT, sigma = tau + 1/2, from
-    J/eta alone: W(x) e^{-sigma x} = 2 e^{x/2} K(e^x), K(s) = int_1^inf J_tau(s y)
-    eta_tau(y) dy, one eta-weighted integral per node at the transform's absolute
-    target 0.1 quad_abs_tol.  The same rule as `WTable.masses`, whose values come
-    from Hcal instead; read-only."""
+def _jeta_table(tau: float, cfg: EvalConfig = DEFAULT_CONFIG) -> JTable:
+    """W(x) e^{-sigma x} = 2 e^{x/2} K(e^x), K(s) = int_1^inf J_tau(s y) eta_tau(y) dy,
+    at the nodes _XT, one eta-weighted integral per node at the transform's absolute
+    target 0.1 quad_abs_tol, times the rule's weights: the same rule as
+    `WTable.masses`, whose values come from Hcal instead.  Then lin and cub."""
     node_cfg = replace(cfg, quad_abs_tol=0.1 * cfg.quad_abs_tol)
 
     def k_of(s):
@@ -516,13 +551,6 @@ def _j_masses(tau: float, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     w_exp = np.array([2.0 * math.exp(0.5 * x) * k_of(math.exp(x)) for x in _XT])
     masses = _WEIGHTS_T * w_exp
     masses.flags.writeable = False
-    return masses
-
-
-@config_cache(maxsize=64)
-def _j_lin_cub(tau: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
-    """The t-independent integrals of modulus_rhs_via_J, once per (tau, cfg):
-    int [2y J' + J] eta dy and int y [2y^2 J''' + 9y J'' + 6 J'] eta dy."""
     lin = integrate_eta_weighted(
         lambda y: 2.0 * y * J_tau(tau, y, 1, cfg) + J_tau(tau, y, 0, cfg),
         tau, cfg, decay_rate=2.0 * math.pi, scale=30.0).value
@@ -531,7 +559,7 @@ def _j_lin_cub(tau: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
                        + 9.0 * y * J_tau(tau, y, 2, cfg)
                        + 6.0 * J_tau(tau, y, 1, cfg)),
         tau, cfg, decay_rate=2.0 * math.pi, scale=2e4).value
-    return lin, cub
+    return JTable(masses, lin, cub)
 
 
 def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -542,12 +570,12 @@ def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
       - int y [2y^2 J''' + 9y J'' + 6 J'] eta dy
 
     With x -> 2 ln x the double integral is a quarter of the cosine transform of
-    W e^{-sigma x}, which the fixed rule reads from `_j_masses`.
+    W e^{-sigma x}, which the fixed rule reads from `_jeta_table`'s masses.
     """
-    dbl = 0.25 * float(np.cos(t * _XT) @ _j_masses(tau, cfg))
-    lin, cub = _j_lin_cub(tau, cfg)
+    table = _jeta_table(tau, cfg)
+    dbl = 0.25 * float(np.cos(t * _XT) @ table.masses)
     quartic = 4.0 * ((t * t + tau * tau + 0.25) ** 2 - tau * tau)
-    return quartic * dbl + (t * t + 2.0 * tau * tau + 0.25) * lin - cub
+    return quartic * dbl + (t * t + 2.0 * tau * tau + 0.25) * table.lin - table.cub
 
 
 # ---------------------------------------------------------------------------
@@ -556,24 +584,28 @@ def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
 
 def a_coeff(tau: float, k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """a_tau(k) = 2^{2k+1} int int (ln x)^{2k} J_tau(x^2 y) eta_tau(y) dx dy, which is
-    half the moment int x^{2k} W e^{-sigma x} dx: one product with `_j_masses`."""
+    half the moment int x^{2k} W e^{-sigma x} dx: one product with `_jeta_table`'s
+    masses."""
     if k < 0:
         raise DomainError(f"a_coeff needs k >= 0, got {k!r}")
-    return 0.5 * float(_XT ** (2 * k) @ _j_masses(tau, cfg))
+    return 0.5 * float(_XT ** (2 * k) @ _jeta_table(tau, cfg).masses)
+
+
+_K_MAX = 85     # (2k)! is a finite double up to k = 85: 170! ~ 7.3e306
 
 
 def c_coeff(tau: float, k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Coefficient of t^{2k} in |xi(tau+1/2-it)|^2; alternates in sign.  k = 0 and
-    k = 1 read the J/eta route's t-independent integrals (`_j_lin_cub`)."""
-    if k < 0:
-        raise DomainError(f"c_coeff needs k >= 0, got {k!r}")
+    k = 1 read the J/eta route's t-independent integrals from `_jeta_table`.  k is
+    at most _K_MAX, past which (2k)! does not convert to a double."""
+    if not 0 <= k <= _K_MAX:
+        raise DomainError(f"c_coeff needs 0 <= k <= {_K_MAX}, got {k!r}")
     q = (tau * tau - 0.25) ** 2
     if k == 0:
-        lin, cub = _j_lin_cub(tau, cfg)
-        return -0.5 * cub + (tau * tau + 0.125) * lin + q * a_coeff(tau, 0, cfg)
+        table = _jeta_table(tau, cfg)
+        return -0.5 * table.cub + (tau * tau + 0.125) * table.lin + q * a_coeff(tau, 0, cfg)
     if k == 1:
-        lin, _ = _j_lin_cub(tau, cfg)
-        return (0.5 * lin - 0.5 * q * a_coeff(tau, 1, cfg)
+        return (0.5 * _jeta_table(tau, cfg).lin - 0.5 * q * a_coeff(tau, 1, cfg)
                 + 2.0 * (tau * tau + 0.25) * a_coeff(tau, 0, cfg))
     sign = -1.0 if k % 2 else 1.0
     return sign / math.factorial(2 * k) * (
@@ -584,8 +616,8 @@ def c_coeff(tau: float, k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 
 def power_series_coeffs(sigma: float, K: int,
                         cfg: EvalConfig = DEFAULT_CONFIG) -> PowerSeriesCoeffs:
-    """First K+1 coefficients of |xi(sigma-it)|^2 = sum_k c(k) t^{2k}."""
-    if K < 0:
-        raise DomainError(f"power series needs K >= 0, got {K!r}")
+    """First K+1 coefficients of |xi(sigma-it)|^2 = sum_k c(k) t^{2k}, K <= _K_MAX."""
+    if not 0 <= K <= _K_MAX:
+        raise DomainError(f"power series needs K >= 0 and K <= {_K_MAX}, got {K!r}")
     tau = sigma - 0.5
     return PowerSeriesCoeffs(sigma, [c_coeff(tau, k, cfg) for k in range(K + 1)], K)

@@ -135,7 +135,6 @@ def integrate_finite(
     b: float,
     cfg: EvalConfig,
     abs_tol: Optional[float] = None,
-    rel_tol: Optional[float] = None,
     min_panels: int = 1,
 ) -> QuadResult:
     """Adaptive bisection with the embedded 7/15 pair.
@@ -150,7 +149,7 @@ def integrate_finite(
     if not a < b:
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
     abs_tol = cfg.quad_abs_tol if abs_tol is None else abs_tol
-    rel_tol = cfg.quad_rel_tol if rel_tol is None else rel_tol
+    rel_tol = cfg.quad_rel_tol
 
     total = NeumaierSum()
     err_total = 0.0

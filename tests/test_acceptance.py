@@ -20,7 +20,7 @@ from scipy.stats import kstest
 
 from conftest import s_reference
 from xi_ineq.config import DEFAULT_CONFIG
-from xi_ineq.inequality import (K_fourier, K_sigma, _cached_draw, _sampler,
+from xi_ineq.inequality import (K_fourier, K_sigma, XSigmaSampler,
                                 autocorrelation_A, mc_check,
                                 orthogonalization_scan, poly_approx_V,
                                 scan_for_zero, truncation_levels,
@@ -165,13 +165,14 @@ def test_criterion_08_monte_carlo():
     seed, n = 20240808, 1_000_000
     mc_ok = True
     details = []
-    for t in (1.0, 5.0, 10.0):
-        rep = mc_check(0.75, t, n, seed, CFG)
+    for rep in mc_check(0.75, (1.0, 5.0, 10.0), n, seed, CFG):
         dev = abs(rep.estimate - rep.deterministic_value)
         mc_ok &= dev <= 4.0 * rep.std_error
-        details.append(f"t={t}: dev/se={dev / rep.std_error:.2f}")
-    xs, _ = _cached_draw(0.75, 100_000, seed, CFG)
-    ks = kstest(xs, _sampler(0.75, CFG).cdf)
+        details.append(f"t={rep.t}: dev/se={dev / rep.std_error:.2f}")
+    # sample(100_000) is a prefix of the million draws above
+    sampler = XSigmaSampler(0.75, CFG)
+    xs, _ = sampler.sample(100_000, seed)
+    ks = kstest(xs, sampler.cdf)
     ks_ok = ks.pvalue > 0.01
     elapsed = time.time() - t0
     ok = mc_ok and ks_ok
@@ -199,7 +200,7 @@ def test_criterion_09_kernel_suite():
             return 1.0
         return math.cos(2.0 * t) * 2.0 * (1.0 - math.cos(t)) / (t * t)
 
-    res = scan_for_zero(synthetic_acf, 0.05, 3.0, 0.05, xtol=1e-10)
+    res = scan_for_zero(synthetic_acf, 0.05, 3.0, 0.05)
     synth_ok = res["zero"] is not None and abs(res["zero"] - math.pi / 4.0) <= 1e-9
     ok = pos_ok and worst_fourier <= 1e-6 and a0_ok and scans_ok and synth_ok
     assert report(9, ok,

@@ -14,7 +14,7 @@ import xi_ineq
 from xi_ineq.cli import main, render_json
 from xi_ineq.config import DEFAULT_CONFIG, config_from_mapping, parse_config_text
 from xi_ineq import modulus
-from xi_ineq.modulus import _j_masses, _w_table, constants, power_series_coeffs
+from xi_ineq.modulus import _jeta_table, _w_table, constants, power_series_coeffs
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +201,24 @@ class TestCommands:
         _, second = run_cli(capsys, *args)
         assert strip_timestamp(first) == strip_timestamp(second)
 
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--method", "B_series"],
+        ["verify-modulus", "--sigma", "0.75", "--t-list", "0"],
+        ["scan", "--t-max", "1", "--step", "0.5"],
+        ["coeffs", "--kmax", "2"],
+        ["montecarlo", "--t-list", "1", "--samples", "1000"],
+        ["autocorr", "--t-max", "1"],
+        ["selftest"],
+    ])
+    def test_csv_header_is_the_json_row_keys(self, capsys, argv):
+        # every subcommand that arguments can make cheap: reproduce-appendix takes
+        # none and runs 2 s, and builds its rows the same way
+        _, json_out = run_cli(capsys, *argv)
+        _, csv_out = run_cli(capsys, *argv, "--format", "csv")
+        outputs = json.loads(json_out)["outputs"]
+        rows = outputs.get("rows", outputs.get("checks"))
+        assert next(csv.reader(io.StringIO(csv_out))) == list(rows[0])
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out = run_cli(capsys, "constants", "--sigma", "0.75",
@@ -216,11 +234,12 @@ class TestCommands:
         assert exc.value.code == 3
 
     def test_autocorr_computes_constants_once(self, capsys):
-        constants.cache_clear()
+        # S and T live in the W record, so one record build is one S/T evaluation
+        _w_table.cache_clear()
         code, _ = run_cli(capsys, "autocorr", "--sigma", "0.75", "--t-max", "2",
                           "--step", "0.5")
         assert code == 0
-        assert constants.cache_info().misses == 1
+        assert _w_table.cache_info().misses == 1
 
     def test_montecarlo_computes_each_transform_once(self, capsys, monkeypatch):
         # every row and the t = 0 normalization read one W table; none of
@@ -234,20 +253,20 @@ class TestCommands:
 
     def test_coeffs_reuses_the_series_a_coeffs(self, capsys):
         # every a(k) of the series and of the report's rows reads one J table
-        _j_masses.cache_clear()
+        _jeta_table.cache_clear()
         power_series_coeffs(0.75, 10)
-        assert _j_masses.cache_info().misses == 1
+        assert _jeta_table.cache_info().misses == 1
         code, _ = run_cli(capsys, "coeffs", "--sigma", "0.75", "--kmax", "10")
         assert code == 0
-        assert _j_masses.cache_info().misses == 1
+        assert _jeta_table.cache_info().misses == 1
 
     def test_j_eta_scan_builds_one_j_table_per_sigma(self, capsys, monkeypatch):
         adaptive = count_adaptive_transforms(monkeypatch)
-        _j_masses.cache_clear()
+        _jeta_table.cache_clear()
         code, _ = run_cli(capsys, "scan", "--sigma", "0.6,0.75", "--route", "J_eta",
                           "--t-max", "5", "--step", "0.5")
         assert code == 0
-        assert _j_masses.cache_info().misses == 2
+        assert _jeta_table.cache_info().misses == 2
         assert adaptive == []
 
     def test_autocorr_zero_scan_reuses_the_table_grid(self, capsys, monkeypatch):
@@ -311,6 +330,9 @@ class TestCommands:
         (["scan", "--step", "inf"], "--step"),
         (["autocorr", "--t-max=-inf"], "--t-max"),
         (["autocorr", "--sigma", "nan"], "--sigma"),
+        (["coeffs", "--kmax", "86"], "K <= 85"),
+        (["montecarlo", "--seed", "-1"], "seed"),
+        (["montecarlo", "--seed", str(2 ** 128)], "seed"),
     ])
     def test_bad_value_is_usage_error(self, argv, mention):
         # in a child process with a timeout: a negative autocorr step used to
@@ -342,17 +364,21 @@ class TestCommands:
         bounds = {}
         for info in pkgutil.iter_modules(xi_ineq.__path__, "xi_ineq."):
             module = importlib.import_module(info.name)
-            for name, obj in vars(module).items():
+            for obj in vars(module).values():
                 if callable(obj) and hasattr(obj, "cache_info"):
-                    bounds[f"{info.name}.{name}"] = obj.cache_info().maxsize
+                    bounds[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
         assert {"xi_ineq.theta.divisor_sigma", "xi_ineq.theta._j_table",
                 "xi_ineq.theta.theta_R", "xi_ineq.theta.theta_R_prime",
-                "xi_ineq.modulus._j_masses", "xi_ineq.modulus._j_lin_cub"} <= set(bounds)
+                "xi_ineq.modulus._w_table", "xi_ineq.modulus._jeta_table"} <= set(bounds)
         assert all(isinstance(m, int) for m in bounds.values()), bounds
+        # one record per sigma or tau: no other cache above the theta layer
+        assert {name for name in bounds if not name.startswith("xi_ineq.theta.")} == {
+            "xi_ineq.modulus._w_table", "xi_ineq.modulus._jeta_table",
+            "xi_ineq.xi._u_table", "xi_ineq.xi.xi_real"}
 
     def test_constants_one_cache_entry_whatever_the_call_form(self):
-        constants.cache_clear()
+        _w_table.cache_clear()
         constants(0.75)
         constants(0.75, DEFAULT_CONFIG)
         constants(0.75, cfg=DEFAULT_CONFIG)
-        assert constants.cache_info().misses == 1
+        assert _w_table.cache_info().misses == 1

@@ -8,14 +8,14 @@ from scipy.stats import kstest
 from conftest import w_moment_reference, xi_mod_sq_reference
 from xi_ineq import inequality, modulus
 from xi_ineq.errors import ConvergenceError, DomainError
-from xi_ineq.inequality import (_W_CUT, XSigmaSampler, _density, _scaled_moments,
-                                _w_table, autocorrelation_A, bisect_zero,
+from xi_ineq.inequality import (_W_CUT, XSigmaSampler, _w_table,
+                                autocorrelation_A, bisect_zero,
                                 check_poly_min_criterion, K_fourier, K_sigma,
                                 lemb_moment_bound, mc_check, mm_bound,
                                 orthogonalization_scan, poly_approx_V,
                                 scan_for_zero, scan_inequality,
                                 truncation_levels, verify_tail_bound)
-from xi_ineq.modulus import W_sigma, constants, w_cos_transform
+from xi_ineq.modulus import W_sigma, _scaled_moments, constants, w_cos_transform
 from xi_ineq.quadrature import integrate_finite
 from xi_ineq.xi import xi_mod_sq
 
@@ -146,7 +146,7 @@ class TestPolyMinCriterion:
         assert res["passes_threshold"]
 
     def test_minimum_location_matches_oracle_scan(self, cfg):
-        res = check_poly_min_criterion(0.75, 1, 0.5, cfg, grid_step=0.01)
+        res = check_poly_min_criterion(0.75, 1, 0.5, cfg)
         # 2|xi(0.75-it)|^2 decreases on [0, 1], so the minimum sits at t = T
         assert res["min_t"] == pytest.approx(1.0, abs=1e-9)
 
@@ -185,24 +185,29 @@ class TestSampler:
 
     def test_one_w_table_for_sampler_and_moments(self, cfg):
         _w_table.cache_clear()
-        _scaled_moments.cache_clear()
         XSigmaSampler(0.75, cfg)
         poly_approx_V(0.75, 8, 16, 0.5, cfg)
         assert _w_table.cache_info().misses == 1
 
     def test_w_table_evaluates_hcal_at_most_121_times(self, cfg, monkeypatch):
-        # 64 Chebyshev nodes plus 57 certification probes
+        # 64 Chebyshev nodes plus 57 certification probes, each one Hcal value (a
+        # Gcal call at the table's absolute target); S and T add route B's four
+        # Gcal derivatives at 1
         calls = []
         calG = modulus.calG
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append((args, kwargs))
             return calG(*args, **kwargs)
 
         monkeypatch.setattr(modulus, "calG", counted)
         _w_table.cache_clear()
         _w_table(0.75, cfg)
-        assert 0 < len(calls) <= 121
+        hcal = [args for args, kwargs in calls if "abs_tol" in kwargs]
+        route_b = [args for args, kwargs in calls if "abs_tol" not in kwargs]
+        assert all(args[2] == 0 for args in hcal)
+        assert 0 < len(hcal) <= 121
+        assert route_b == [(0.75, 1.0, d, cfg) for d in range(4)]
 
     def test_w_table_shared_whatever_the_call_form(self, cfg):
         _w_table.cache_clear()
@@ -254,11 +259,11 @@ class TestSampler:
     def test_density_on_many_points_stays_small_in_memory(self, cfg):
         # the output holds 8 MB and one block of temporaries 36 MB; an unblocked
         # call held 576 MB
-        values = _w_table(0.75, cfg).values
+        table = _w_table(0.75, cfg)
         x = np.linspace(0.0, _W_CUT, 2 ** 20)
         tracemalloc.start()
         try:
-            dens = _density(values, x)
+            dens = table.density(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -286,30 +291,57 @@ class TestSampler:
 
 class TestMonteCarlo:
     def test_t_zero_is_exactly_one(self, cfg):
-        rep = mc_check(0.75, 0.0, 2000, 17, cfg)
+        rep, = mc_check(0.75, [0.0], 2000, 17, cfg)
         assert rep.estimate == 1.0
         assert rep.std_error == 0.0
 
     def test_estimate_within_4se_and_deterministic(self, cfg):
-        rep = mc_check(0.75, 5.0, 30_000, 17, cfg)
+        rep, = mc_check(0.75, [5.0], 30_000, 17, cfg)
         assert abs(rep.estimate - rep.deterministic_value) <= 4.0 * rep.std_error
-        again = mc_check(0.75, 5.0, 30_000, 17, cfg)
+        again, = mc_check(0.75, [5.0], 30_000, 17, cfg)
         assert again.estimate == rep.estimate
         assert again.acceptance_rate == rep.acceptance_rate
 
     def test_deterministic_value_is_transform_ratio(self, cfg):
-        rep = mc_check(0.75, 2.0, 2000, 17, cfg)
+        rep, = mc_check(0.75, [2.0], 2000, 17, cfg)
         want = w_cos_transform(0.75, 2.0, cfg) / w_cos_transform(0.75, 0.0, cfg)
         assert rep.deterministic_value == pytest.approx(want, rel=1e-8)
 
     @pytest.mark.parametrize("t", [1.0, 5.0, 10.0])
     def test_expectation_inequality_holds(self, cfg, t):
-        rep = mc_check(0.75, t, 30_000, 17, cfg)
+        rep, = mc_check(0.75, [t], 30_000, 17, cfg)
         assert rep.estimate > mm_bound(0.75, t, cfg)
 
     def test_rejects_tiny_n(self, cfg):
         with pytest.raises(ValueError):
-            mc_check(0.75, 1.0, 10, 17, cfg)
+            mc_check(0.75, [1.0], 10, 17, cfg)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_rejects_seed_out_of_range_before_building(self, cfg, monkeypatch, seed):
+        # Philox keys lie in [0, 2**128); the check comes before the sampler
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampler built")
+
+        monkeypatch.setattr(inequality, "XSigmaSampler", refuse)
+        with pytest.raises(DomainError, match="seed"):
+            mc_check(0.75, [1.0], 2000, seed, cfg)
+
+    def test_one_sampler_and_one_draw_serve_every_t(self, cfg, monkeypatch):
+        built = []
+        sampler = inequality.XSigmaSampler
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return sampler(*args, **kwargs)
+
+        monkeypatch.setattr(inequality, "XSigmaSampler", counted)
+        reps = mc_check(0.75, [1.0, 5.0, 10.0], 5000, 17, cfg)
+        assert len(built) == 1
+        assert [rep.t for rep in reps] == [1.0, 5.0, 10.0]
+        # each row is the row a one-t call gives
+        for rep in reps:
+            alone, = mc_check(0.75, [rep.t], 5000, 17, cfg)
+            assert alone == rep
 
 
 class TestKernel:
@@ -376,7 +408,7 @@ class TestZeroLocalization:
                 return 1.0
             return math.cos(2.0 * t) * 2.0 * (1.0 - math.cos(t)) / (t * t)
 
-        res = scan_for_zero(acf, 0.05, 3.0, 0.05, xtol=1e-10)
+        res = scan_for_zero(acf, 0.05, 3.0, 0.05)
         assert res["zero"] is not None
         assert abs(res["zero"] - math.pi / 4.0) < 1e-9
 

@@ -7,7 +7,7 @@ any rounding fails here, however small the change.  The S/T pins are the
 values of routes A and C (both modes) and of route B's fixed-truncation recipe
 as their integrals were first written out term by term, one route per
 function; sharing code between the routes must not move them.  The J/eta
-pins are `modulus_rhs_via_J` and two masses of its node table (`_j_masses`:
+pins are `modulus_rhs_via_J` and two masses of its node table (`_jeta_table`:
 the largest, and the one at the middle node) as the table first gave them.
 The rule pins are the SHA-256 digests of the W table's rule arrays and of its
 masses at sigma 0.75, and one fixed-rule transform, as each was first written
@@ -19,7 +19,7 @@ import hashlib
 import pytest
 
 from xi_ineq import modulus, theta
-from xi_ineq.modulus import S_T_constants, _j_masses, calG, modulus_rhs_via_J
+from xi_ineq.modulus import S_T_constants, _jeta_table, calG, modulus_rhs_via_J
 
 # y = 0.05 takes a few hundred terms, so the J tables grow; y = 3 stops at the floor
 BITS_J = {   # (tau, y, deriv)
@@ -81,7 +81,7 @@ BITS_ST = {   # (method, sigma, paper_truncation): (S, T, err_est)
         ('0x1.e54dac419c2f3p-2', '-0x1.65e7f701e180dp-6', '0x1.b4165f5f1c938p-35'),
 }
 
-BITS_J_ROUTE = {   # modulus_rhs_via_J(0.25, 5.0) and _j_masses(0.25)[i]
+BITS_J_ROUTE = {   # modulus_rhs_via_J(0.25, 5.0) and _jeta_table(0.25).masses[i]
     'modulus_rhs_via_J': '0x1.38078018067d4p-3',
     14: '0x1.8520257155691p-16',
     64: '0x1.49e037b0470c1p-35',
@@ -125,7 +125,7 @@ def test_S_T_bits(key, request):
 
 
 def test_J_route_bits():
-    masses = _j_masses(0.25)
+    masses = _jeta_table(0.25).masses
     got = {'modulus_rhs_via_J': modulus_rhs_via_J(0.25, 5.0).hex(),
            14: float(masses[14]).hex(), 64: float(masses[64]).hex()}
     assert got == BITS_J_ROUTE

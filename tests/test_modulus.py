@@ -7,10 +7,9 @@ from scipy.special import kv
 from conftest import s_reference, w_moment_reference, xi_mod_sq_reference
 from xi_ineq import modulus
 from xi_ineq.config import EvalConfig
-from xi_ineq.errors import ConvergenceError
-from xi_ineq.inequality import _scaled_moments
-from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _X, _j_lin_cub, _j_masses,
-                             _w_table, a_coeff, c_coeff, calG, calH, calH_derivs_at_0,
+from xi_ineq.errors import ConvergenceError, DomainError
+from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _X, _jeta_table,
+                             _scaled_moments, _w_table, a_coeff, c_coeff, calG, calH, calH_derivs_at_0,
                              constants, modulus_rhs, modulus_rhs_via_J,
                              power_series_coeffs, w_cos_fixed, w_cos_transform)
 from xi_ineq.quadrature import integrate_finite
@@ -233,6 +232,11 @@ class TestWTable:
             _w_table(0.75, cfg)
         assert exc.value.partial > 1e-8
 
+    def test_constants_are_route_b_in_the_record(self, cfg):
+        rep = S_T_constants(0.6, "B_series", cfg)
+        table = _w_table(0.6, cfg)
+        assert (table.s, table.t) == (rep.s_value, rep.t_value) == constants(0.6, cfg)
+
     def test_table_is_read_only(self, cfg):
         table = _w_table(0.75, cfg)
         with pytest.raises(ValueError):
@@ -263,15 +267,15 @@ class TestJEtaRoute:
         assert abs(got - want) <= 1e-5 * abs(want)
 
     def test_t_independent_integrals_once_per_tau(self, cfg):
-        _j_lin_cub.cache_clear()
+        _jeta_table.cache_clear()
         for t in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 14.2, 20.0):
             modulus_rhs_via_J(0.3, t, cfg)
-        assert _j_lin_cub.cache_info().misses == 1
+        assert _jeta_table.cache_info().misses == 1
 
     @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.95])
     def test_masses_match_the_w_table(self, cfg, sigma):
         # J/eta node values against Hcal node values: two formulas, one rule
-        masses = _j_masses(sigma - 0.5, cfg)
+        masses = _jeta_table(sigma - 0.5, cfg).masses
         want = _w_table(sigma, cfg).masses
         assert np.max(np.abs(masses - want)) <= 1e-14 * np.max(want)
         with pytest.raises(ValueError):
@@ -350,16 +354,24 @@ class TestPowerSeries:
             assert lo - 1e-12 <= oracle <= hi + 1e-12
 
     def test_low_coefficients_make_no_eta_integral_of_their_own(self, cfg, monkeypatch):
-        # c(0) and c(1) read _j_lin_cub and _j_masses; once those are cached
-        # (as after verify-modulus), no eta-weighted integral runs
-        _j_lin_cub(0.25, cfg)
-        _j_masses(0.25, cfg)
+        # c(0) and c(1) read the J record; once it is cached (as after
+        # verify-modulus), no eta-weighted integral runs
+        _jeta_table(0.25, cfg)
 
         def refuse(*args, **kwargs):
             raise AssertionError("eta-weighted integral")
 
         monkeypatch.setattr(modulus, "integrate_eta_weighted", refuse)
         assert c_coeff(0.25, 0, cfg) > 0.0 > c_coeff(0.25, 1, cfg)
+
+    def test_highest_order_is_85(self, cfg):
+        # (2k)! is a finite double up to k = 85 and overflows at 86
+        series = power_series_coeffs(0.75, 85, cfg)
+        assert all(math.isfinite(c) for c in series.coeffs)
+        with pytest.raises(DomainError, match="85"):
+            power_series_coeffs(0.75, 86, cfg)
+        with pytest.raises(DomainError, match="85"):
+            c_coeff(0.25, 86, cfg)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_moment_identity(self, cfg, k):
