@@ -386,8 +386,7 @@ def cmd_selftest(args, cfg: EvalConfig) -> int:
         rep, oracle = modulus_rhs(0.75, t, cfg), xi_mod_sq(0.75, t, cfg)
         scale = max(xi_real(0.75, cfg) ** 2, oracle)
         check(f"modulus_identity_t{t}", abs(rep - oracle) <= 1e-6 * scale, rep - oracle)
-    u_route = xi_mod_sq_via_U(0.75, 5.0, cfg)
-    oracle = xi_mod_sq(0.75, 5.0, cfg)
+    u_route = xi_mod_sq_via_U(0.75, 5.0, cfg)   # oracle is the loop's last, at t = 5
     check("correlation_route_t5", abs(u_route - oracle) <= 1e-6 * abs(oracle),
           u_route - oracle)
 

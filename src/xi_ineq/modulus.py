@@ -27,12 +27,13 @@ the moments a(k) behind the power-series coefficients c(k) of |xi|^2 in t^2, and
 the double integral of the J/eta route, are integrals of W e^{-sigma x} too.
 
 Each sigma has one read-only record, `_w_table`: W e^{-sigma x} at fixed nodes
-(values from Hcal), the masses of a fixed Fejer rule, and S and T by route B.
-Every reader of the cosine transform (`w_cos_fixed`), of the moments
-(`_scaled_moments`), of the sampler's density and of `constants` takes it from
-there.  The J/eta route, a(k) and c(k) read one record per tau, `_jeta_table`:
-the same rule's masses with values from J and eta alone, and the route's two
-t-independent integrals.  The adaptive `w_cos_transform` stays as the
+(values from Hcal), the masses of a fixed Fejer rule, and route B's converged
+result (S, T, error estimate and truncation).  Every reader of the cosine
+transform (`w_cos_fixed`), of the moments (`_scaled_moments`), of the sampler's
+density, of `constants` and of `S_T_constants(sigma, "B_series")` takes it from
+there, so route B runs once per sigma.  The J/eta route, a(k) and c(k) read one
+record per tau, `_jeta_table`: the same rule's masses with values from J and eta
+alone, and the route's two t-independent integrals.  The adaptive `w_cos_transform` stays as the
 independent cross-check of both.
 """
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError
 from .quadrature import (barycentric, chebyshev_fejer, integrate_eta_weighted,
                          integrate_finite, integrate_oscillatory_cos,
-                         integrate_semi_infinite)
+                         integrate_semi_infinite, integrate_trapezoid)
 from .theta import (J_tau, divisor_sigma, stable_combo_A, stable_combo_B,
                     theta_R, theta_R_prime, theta_R_prime_truncated,
                     theta_R_truncated)
@@ -169,22 +171,12 @@ def _g_weights(sigma: float, lam: float, deriv: int, cfg: EvalConfig):
     return out
 
 
-def calG(sigma: float, lam: float, deriv: int = 0,
-         cfg: EvalConfig = DEFAULT_CONFIG, abs_tol: float = None) -> float:
-    """deriv-th derivative of Gcal_sigma(lam) = sum_{m,n} m^{-sigma-1/2}
-    n^{sigma-3/2} F_sigma(pi m n lam).
-
-    The (m, n) sum collapses over the product p = mn with divisor-sum weights,
-    and the remaining p-sum is folded inside a single cosh-substituted integral
-    so each evaluation costs one adaptive quadrature.  Acceptance is relative
-    by default (values span e^{-2 pi lam} scales); callers that only need an
-    absolute target, like the cosine transform, pass `abs_tol`.
-    """
-    if lam <= 0.0:
-        raise DomainError(f"calG needs lam > 0, got {lam!r}")
+def _calg_integrand(sigma: float, lam: float, deriv: int, cfg: EvalConfig):
+    """calG's integrand in u, even and analytic, and the cutoff u_max past which it
+    is negligible, as (integrand, u_max); None when every product term underflows."""
     terms = _g_weights(sigma, lam, deriv, cfg)
     if not terms:
-        return 0.0
+        return None
     tau = sigma - 0.5
     u_max = _f_cosh_cutoff(terms[0][0], cfg)
     scale = 2.0 ** (-tau)
@@ -203,6 +195,26 @@ def calG(sigma: float, lam: float, deriv: int = 0,
             acc += (coef * _f_poly(deriv, mu, c) if deriv else coef) * math.exp(-a)
         return scale * acc * math.cosh(tau * u)
 
+    return integrand, u_max
+
+
+def calG(sigma: float, lam: float, deriv: int = 0,
+         cfg: EvalConfig = DEFAULT_CONFIG, abs_tol: float = None) -> float:
+    """deriv-th derivative of Gcal_sigma(lam) = sum_{m,n} m^{-sigma-1/2}
+    n^{sigma-3/2} F_sigma(pi m n lam).
+
+    The (m, n) sum collapses over the product p = mn with divisor-sum weights,
+    and the remaining p-sum is folded inside a single cosh-substituted integral
+    so each evaluation costs one adaptive quadrature.  Acceptance is relative
+    by default (values span e^{-2 pi lam} scales); callers that only need an
+    absolute target, like the cosine transform, pass `abs_tol`.
+    """
+    if lam <= 0.0:
+        raise DomainError(f"calG needs lam > 0, got {lam!r}")
+    rule = _calg_integrand(sigma, lam, deriv, cfg)
+    if rule is None:
+        return 0.0
+    integrand, u_max = rule
     return integrate_finite(integrand, 0.0, u_max, cfg,
                             abs_tol=1e-300 if abs_tol is None else abs_tol).value
 
@@ -275,11 +287,14 @@ class WTable:
     """One sigma's record: W e^{-sigma x} `values` at the nodes _X, which `density`
     reads; the Fejer masses w_j W e^{-sigma x_j} at the nodes _XT, so that
     int_0^inf W e^{-sigma x} cos(tx) dx is cos(t _XT) @ masses; and route B's
-    constants S_sigma (`s`) and T_sigma (`t`).  All read-only."""
+    converged result: S_sigma (`s`), T_sigma (`t`), its `err_est` and its
+    `truncation` record.  All read-only."""
     values: np.ndarray
     masses: np.ndarray
     s: float
     t: float
+    err_est: float
+    truncation: MappingProxyType
 
     def density(self, x: np.ndarray) -> np.ndarray:
         """The polynomial through `values` at the nodes _X, at the points x (1-d).  The
@@ -289,28 +304,32 @@ class WTable:
 
 @config_cache(maxsize=32)
 def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> WTable:
-    """W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma at the nodes _X, with Hcal at the
-    cosine transform's absolute target 0.1 quad_abs_tol, and S, T by route B.  The
-    polynomial through the node values is the density that the transform, the moments
-    and the sampler read; it is certified against Hcal at the same target, to 1e-8
-    absolute in W, at the 57 _PROBES, and ConvergenceError (partial: the worst
-    deviation) is raised when it misses."""
+    """W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma at the nodes _X, each an adaptive
+    `calH` at the cosine transform's absolute target 0.1 quad_abs_tol, and route B's
+    converged S and T.  The polynomial through the node values is the density that the
+    transform, the moments and the sampler read.  It is certified, to 1e-8 absolute in W,
+    at the 57 _PROBES against Hcal by a different rule: `integrate_trapezoid` on Gcal's
+    integrand at the same target.  ConvergenceError (partial: the worst deviation) is
+    raised when it misses."""
     pref = 2.0 ** (sigma + 1.5) / math.pi
     abs_tol = 0.1 * cfg.quad_abs_tol
+    probe_cfg = replace(cfg, quad_abs_tol=abs_tol)
 
-    def w_exp(xs):
-        return pref * np.array([calH(sigma, float(x), cfg, abs_tol=abs_tol) for x in xs])
+    def probe(x):
+        integrand, u_max = _calg_integrand(sigma, math.exp(x), 0, cfg)
+        return pref * integrate_trapezoid(integrand, u_max, probe_cfg).value * math.exp(-0.5 * x)
 
-    values = w_exp(_X)
-    worst = float(np.max(np.abs(barycentric(values, _X, _BARY, _PROBES) - w_exp(_PROBES))
+    values = pref * np.array([calH(sigma, float(x), cfg, abs_tol=abs_tol) for x in _X])
+    worst = float(np.max(np.abs(barycentric(values, _X, _BARY, _PROBES)
+                                - np.array([probe(float(x)) for x in _PROBES]))
                          * np.exp(sigma * _PROBES)))
     if worst > 1e-8:
         raise ConvergenceError(
             f"W table certification failed at sigma={sigma!r}: err {worst:.2e} > 1e-8", worst)
     masses = _WEIGHTS_T * barycentric(values, _X, _BARY, _XT)
     values.flags.writeable = masses.flags.writeable = False
-    s_value, t_value, _, _ = _st_method_B(sigma, cfg, False)
-    return WTable(values, masses, s_value, t_value)
+    s_value, t_value, err, trunc = _st_method_B(sigma, cfg, False)
+    return WTable(values, masses, s_value, t_value, err, MappingProxyType(trunc))
 
 
 def w_cos_fixed(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -497,11 +516,17 @@ def S_T_constants(sigma: float, method: str = "B_series",
 
     Converged tolerances make the three routes agree; `paper_truncation`
     switches routes B and C to their published fixed-truncation recipes (route
-    A has no published recipe and rejects the flag).
+    A has no published recipe and rejects the flag).  Converged route B is the
+    one `_w_table` runs for its record, read from there, so it runs once per
+    sigma; a call without the table cached builds it.
     """
     routes = {"A_direct": _st_method_A, "B_series": _st_method_B, "C_inversion": _st_method_C}
     if method not in routes:
         raise ValueError(f"unknown method {method!r}")
+    if method == "B_series" and not paper_truncation:
+        table = _w_table(sigma, cfg)
+        return ConstantsReport(sigma, table.s, table.t, method, dict(table.truncation),
+                               table.err_est)
     s_value, t_value, err, trunc = routes[method](sigma, cfg, paper_truncation)
     return ConstantsReport(sigma, s_value, t_value, method, trunc, err)
 

@@ -1,6 +1,7 @@
-"""Integration engines: adaptive ones, and the fixed rule of the node tables.
+"""Integration engines: adaptive ones, a trapezoid sum, and the fixed rule of
+the node tables.
 
-Four adaptive entry points cover every integral that is not read from a table:
+Four adaptive entry points cover most integrals that are not read from a table:
 
   integrate_finite          adaptive Gauss-Kronrod 7/15 on [a, b]
   integrate_semi_infinite   [a, inf) with an explicit exponential tail cutoff
@@ -8,6 +9,12 @@ Four adaptive entry points cover every integral that is not read from a table:
                             removes the (y-1)^{-1/2} endpoint singularity
   integrate_oscillatory_cos int_a^inf f(x) cos(tx) dx by half-period panels
                             with compensated panel summation
+
+Beside them, one equispaced engine for the W table's certification probes:
+
+  integrate_trapezoid       int_0^u_max f(u) du for f even, analytic and
+                            negligible at u_max, by the trapezoid rule with its
+                            step halved until two sums agree
 
 All engines report value, error estimate, evaluation count and (where one was
 chosen) the truncation point.
@@ -307,6 +314,44 @@ def integrate_oscillatory_cos(
         evals += part.evals
 
     return QuadResult(total.value, err_total, evals, truncation_point=x_max)
+
+
+TRAPEZOID_HALVINGS = 10   # 8 * 2^10 panels at most
+
+
+def integrate_trapezoid(f: Callable[[float], float], u_max: float,
+                        cfg: EvalConfig) -> QuadResult:
+    """int_0^u_max f(u) du for f even, analytic in a strip about the real axis and
+    negligible at u_max, by the composite trapezoid rule.  For such f the rule
+    converges exponentially in 1/step (Trefethen & Weideman, SIAM Review 56,
+    2014): the odd derivatives vanish at 0 and f is gone at u_max, so the
+    Euler-Maclaurin correction has no terms.
+
+    The step starts at u_max/8 and is halved, each sum reusing every abscissa of
+    the one before, until two successive sums differ by at most
+    max(cfg.quad_abs_tol, cfg.quad_rel_tol |sum|); that difference is `err_est`.
+    Raises ConvergenceError (carrying the last QuadResult) when the sums have not
+    settled after TRAPEZOID_HALVINGS halvings.
+    """
+    if not u_max > 0.0:
+        raise ValueError(f"need u_max > 0, got {u_max!r}")
+    n = 8
+    h = u_max / n
+    inner = math.fsum(_eval(f, h * k) for k in range(1, n))
+    ends = 0.5 * (_eval(f, 0.0) + _eval(f, u_max))
+    value = h * (ends + inner)
+    for _ in range(TRAPEZOID_HALVINGS):
+        h *= 0.5
+        inner += math.fsum(_eval(f, h * k) for k in range(1, 2 * n, 2))
+        n *= 2
+        previous, value = value, h * (ends + inner)
+        result = QuadResult(value, abs(value - previous), n + 1)
+        if result.err_est <= max(cfg.quad_abs_tol, cfg.quad_rel_tol * abs(value)):
+            return result
+    result.converged = False
+    raise ConvergenceError(
+        f"trapezoid sums on [0, {u_max}] unsettled after {TRAPEZOID_HALVINGS} halvings; "
+        f"last difference {result.err_est:.3e}", partial=result)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ and the adaptive quadratures on [1, x_max] sample the same abscissae at every
 sigma and t, so the oracle xi(), S/T routes A and C, the stable combinations
 and the convolution form of W compute each series value once; a hit returns
 the double the series gave, so every result is bit-identical.  H and J_tau are
-not memoized: H's arguments barely repeat (about 8,900 distinct in 12,100
+not memoized: H's arguments barely repeat (about 3,800 distinct in 6,250
 calls of a cross-check run) and J_tau's never do, so a table would cost
 memory for little or no reuse.
 

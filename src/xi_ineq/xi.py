@@ -39,7 +39,7 @@ from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError
 from .quadrature import (barycentric, chebyshev_fejer, integrate_finite,
                          integrate_semi_infinite)
-from .theta import theta_H, theta_R
+from .theta import _MIN_TERMS, theta_H, theta_R
 
 # where exp(-pi x) alone is below any double-precision tolerance
 _PSI_DECAY = math.pi
@@ -51,11 +51,20 @@ def psi_theta(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 
 
 def xi(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Entire completed-zeta evaluation; satisfies xi(s) = xi(1-s)."""
+    """Entire completed-zeta evaluation; satisfies xi(s) = xi(1-s).
+
+    The real and imaginary parts are two adaptive integrals of one complex
+    integrand; within a call it is computed once per abscissa, and the imaginary
+    pass reads the values the real pass left (not a cache across calls)."""
     s = complex(s)
+    values = {}
 
     def integrand(x):
-        return (x ** (0.5 * s - 1.0) + x ** (-0.5 * (s + 1.0))) * psi_theta(x, cfg)
+        value = values.get(x)
+        if value is None:
+            value = (x ** (0.5 * s - 1.0) + x ** (-0.5 * (s + 1.0))) * psi_theta(x, cfg)
+            values[x] = value
+        return value
 
     re = integrate_semi_infinite(lambda x: integrand(x).real, 1.0, _PSI_DECAY, cfg, scale=2.0)
     if s.imag == 0.0:
@@ -170,21 +179,46 @@ _U_PROBES = (0.5 * (_U_X[1:] + _U_X[:-1]))[::8]     # 12 midpoints between nodes
 _U_STEP = 1.0 / 16.0
 
 
+# exp(-a) is subnormal past a = 708, and numpy's exp is slow there; a term of
+# H(w) this small is below rounding of every sum it enters, so the array form
+# leaves it out
+_EXP_CUT = 700.0
+
+
+def _g_array(sigma: float, x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """g at the points x, elementwise: theta_H's series at w = e^{|x|} >= 1, term
+    by term with its stopping rule, times the twist of `_g`.  numpy's exp is not
+    libm's, so values agree with `_g` to rounding, not bit for bit."""
+    w = np.exp(np.abs(x))
+    total = np.zeros_like(w)
+    live = np.ones(w.shape, dtype=bool)
+    for n in range(1, cfg.series_max_terms + 1):
+        a = math.pi * n * n * w * w
+        on = live & (a <= _EXP_CUT)
+        ny2 = (n * w[on]) ** 2
+        term = np.zeros_like(w)
+        term[on] = 4.0 * math.pi * (2.0 * math.pi * ny2 * ny2 - 3.0 * ny2) * np.exp(-a[on])
+        total += term
+        if n >= _MIN_TERMS:
+            live &= np.abs(term) > cfg.series_tol * np.abs(total)
+            if not live.any():
+                return total * np.exp(np.where(x <= 0.0, -sigma * x, (1.0 - sigma) * x))
+    raise ConvergenceError(f"series cap {cfg.series_max_terms} reached", partial=total)
+
+
 def _u_line_sum(sigma: float, ys, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """U_sigma(y) = int_{-inf}^{inf} g(x) g(x+y) dx at each y >= 0 in ys, by the
     trapezoid rule of step _U_STEP on the whole line (Trefethen & Weideman, SIAM
     Review 56, 2014): h * fsum_k g(kh) g(kh + y).  g is exactly 0.0 in double
-    precision for |x| > _H_LOG_CUT, so the window truncates nothing and the terms
-    whose shifted factor lies past it are skipped.  Accurate in absolute terms
-    only (8e-8 relative at y = 2.5), so U_sigma keeps its relative-accuracy
+    precision for |x| > _H_LOG_CUT, so the window truncates nothing and the
+    shifted factors past it add exact zeros.  g comes from `_g_array` on the whole
+    shifted grid at once (96 x 87 points for the table).  Accurate in absolute
+    terms only (8e-8 relative at y = 2.5), so U_sigma keeps its relative-accuracy
     integrals."""
     k_max = int(_H_LOG_CUT / _U_STEP)
-    xs = [_U_STEP * k for k in range(-k_max, k_max + 1)]
-    gs = [_g(sigma, x, cfg) for x in xs]
-    return np.array([
-        _U_STEP * math.fsum(gx * _g(sigma, x + y, cfg) for x, gx in zip(xs, gs)
-                            if x + y <= _H_LOG_CUT)
-        for y in map(float, ys)])
+    xs = _U_STEP * np.arange(-k_max, k_max + 1)
+    products = _g_array(sigma, xs, cfg) * _g_array(sigma, np.add.outer(ys, xs), cfg)
+    return _U_STEP * np.array([math.fsum(row) for row in products.tolist()])
 
 
 @config_cache(maxsize=32)

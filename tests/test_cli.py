@@ -241,6 +241,23 @@ class TestCommands:
         assert code == 0
         assert _w_table.cache_info().misses == 1
 
+    def test_route_b_runs_once_per_sigma_across_commands(self, capsys, monkeypatch):
+        # verify-modulus builds the W record, route B inside it; constants reads it
+        runs = []
+        route_b = modulus._st_method_B
+
+        def counted(*args):
+            runs.append(args[0])
+            return route_b(*args)
+
+        monkeypatch.setattr(modulus, "_st_method_B", counted)
+        _w_table.cache_clear()
+        code, _ = run_cli(capsys, "verify-modulus", "--sigma", "0.75", "--t-list", "0,1")
+        assert code == 0
+        code, _ = run_cli(capsys, "constants", "--sigma", "0.75", "--method", "all")
+        assert code == 0
+        assert runs == [0.75]
+
     def test_montecarlo_computes_each_transform_once(self, capsys, monkeypatch):
         # every row and the t = 0 normalization read one W table; none of
         # them runs an adaptive transform

@@ -12,6 +12,9 @@ the largest, and the one at the middle node) as the table first gave them.
 The rule pins are the SHA-256 digests of the W table's rule arrays and of its
 masses at sigma 0.75, and one fixed-rule transform, as each was first written
 out inside `modulus`; moving the rule into `quadrature` must not move them.
+The oracle pins are xi(s) at real and complex points as the oracle gave them
+when each of its two passes computed the complex integrand for itself; the
+imaginary pass reading the real pass's values must not move them.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ import hashlib
 import pytest
 
 from xi_ineq import modulus, theta
+from xi_ineq.xi import xi
 from xi_ineq.modulus import S_T_constants, _jeta_table, calG, modulus_rhs_via_J
 
 # y = 0.05 takes a few hundred terms, so the J tables grow; y = 3 stops at the floor
@@ -97,6 +101,13 @@ BITS_RULE = {   # SHA-256 of the arrays' bytes
     'w_cos_fixed_0.75_5': '0x1.843b0a168a05ap-12',
 }
 
+BITS_XI = {   # s: (Re xi(s), Im xi(s))
+    0.75: ('0x1.fdc98abad5d5ep-2', '0x0.0p+0'),
+    0.741 - 5j: ('0x1.1a1e68a137c32p-2', '-0x1.06d42d3163ba3p-6'),
+    0.6 - 14.2j: ('-0x1.8c8fc3e2ac000p-14', '-0x1.0c261d7e64240p-13'),
+    0.3 + 2j: ('0x1.d054d5b1178a3p-2', '-0x1.14747d078bf16p-7'),
+}
+
 
 @pytest.mark.parametrize("key", sorted(BITS_J))
 def test_J_tau_bits(key):
@@ -140,3 +151,9 @@ def test_W_rule_bits():
     got['w_table_masses_0.75'] = digest(modulus._w_table(0.75).masses)
     got['w_cos_fixed_0.75_5'] = modulus.w_cos_fixed(0.75, 5.0).hex()
     assert got == BITS_RULE
+
+
+@pytest.mark.parametrize("s", list(BITS_XI), ids=str)
+def test_xi_oracle_bits(s):
+    value = xi(s)
+    assert (value.real.hex(), value.imag.hex()) == BITS_XI[s]

@@ -8,7 +8,7 @@ from conftest import s_reference, w_moment_reference, xi_mod_sq_reference
 from xi_ineq import modulus
 from xi_ineq.config import EvalConfig
 from xi_ineq.errors import ConvergenceError, DomainError
-from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _X, _jeta_table,
+from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _PROBES, _X, _jeta_table,
                              _scaled_moments, _w_table, a_coeff, c_coeff, calG, calH, calH_derivs_at_0,
                              constants, modulus_rhs, modulus_rhs_via_J,
                              power_series_coeffs, w_cos_fixed, w_cos_transform)
@@ -167,15 +167,18 @@ class TestConstants:
 
     def test_series_route_reads_four_gcal_derivatives(self, cfg, monkeypatch):
         # converged route B is Hcal's derivatives at 0: Gcal and its first three
-        # derivatives at 1, and no F-integral of its own
+        # derivatives at 1, and no F-integral of its own.  It runs inside the W
+        # table's build, whose node values are the Gcal calls with abs_tol
         calls = []
         for name in ("calG", "F_sigma"):
             def counted(*args, _name=name, _f=getattr(modulus, name), **kwargs):
-                calls.append(_name)
+                if "abs_tol" not in kwargs:
+                    calls.append((_name, args))
                 return _f(*args, **kwargs)
             monkeypatch.setattr(modulus, name, counted)
+        _w_table.cache_clear()
         rep = S_T_constants(0.75, "B_series", cfg)
-        assert calls == ["calG"] * 4
+        assert calls == [("calG", (0.75, 1.0, d, cfg)) for d in range(4)]
         ref = s_reference(0.75)
         assert abs(rep.s_value - ref) <= 1e-15 * ref
 
@@ -231,6 +234,47 @@ class TestWTable:
         with pytest.raises(ConvergenceError, match="certification") as exc:
             _w_table(0.75, cfg)
         assert exc.value.partial > 1e-8
+
+    def test_certification_rejects_a_probe_off_by_1e7(self, cfg, monkeypatch):
+        # the probes are fixed-rule values, one trapezoid sum each, in _PROBES order
+        trapezoid = modulus.integrate_trapezoid
+        calls = []
+
+        def off(f, u_max, cfg):
+            calls.append(u_max)
+            result = trapezoid(f, u_max, cfg)
+            if len(calls) == 2:
+                result.value += 1e-7
+            return result
+
+        monkeypatch.setattr(modulus, "integrate_trapezoid", off)
+        _w_table.cache_clear()
+        with pytest.raises(ConvergenceError, match="certification") as exc:
+            _w_table(0.75, cfg)
+        assert exc.value.partial > 1e-8
+
+    def test_probes_use_the_fixed_rule_and_nodes_the_adaptive_one(self, cfg, monkeypatch):
+        calls = []
+        for name in ("calG", "integrate_trapezoid"):
+            def counted(*args, _name=name, _f=getattr(modulus, name), **kwargs):
+                calls.append((_name, "abs_tol" in kwargs))
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(modulus, name, counted)
+        _w_table.cache_clear()
+        _w_table(0.75, cfg)
+        assert calls.count(("calG", True)) == len(_X) == 64
+        assert calls.count(("calG", False)) == 4          # route B's derivatives at 1
+        assert calls.count(("integrate_trapezoid", False)) == len(_PROBES) == 57
+        assert len(calls) == 64 + 4 + 57
+
+    def test_route_b_record_is_the_whole_report(self, cfg):
+        _w_table.cache_clear()
+        s_value, t_value, err, trunc = modulus._st_method_B(0.6, cfg, False)
+        rep = S_T_constants(0.6, "B_series", cfg)
+        assert (rep.s_value, rep.t_value, rep.err_est, rep.truncation) == (
+            s_value, t_value, err, trunc)
+        rep.truncation["changed"] = True
+        assert "changed" not in _w_table(0.6, cfg).truncation
 
     def test_constants_are_route_b_in_the_record(self, cfg):
         rep = S_T_constants(0.6, "B_series", cfg)

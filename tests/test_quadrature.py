@@ -1,14 +1,16 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from xi_ineq.config import EvalConfig
 from xi_ineq.errors import ConvergenceError, EvaluationError
-from xi_ineq.quadrature import (NeumaierSum, barycentric, chebyshev_fejer,
-                                integrate_eta_weighted, integrate_finite,
-                                integrate_oscillatory_cos, integrate_semi_infinite)
+from xi_ineq.quadrature import (TRAPEZOID_HALVINGS, NeumaierSum, barycentric,
+                                chebyshev_fejer, integrate_eta_weighted, integrate_finite,
+                                integrate_oscillatory_cos, integrate_semi_infinite,
+                                integrate_trapezoid)
 
 
 class TestFinite:
@@ -154,6 +156,43 @@ class TestFixedRule:
         assert np.max(np.abs(got - poly(points))) <= 1e-13
         on_node = barycentric(poly(x), x, bary, x[3:4])[0]   # the node's term decides alone
         assert on_node == pytest.approx(poly(x[3]), rel=1e-15)
+
+
+class TestTrapezoid:
+    @pytest.mark.parametrize("z, nu", [(1.0, 0.0), (2.5, 0.25), (0.4, 1.5)])
+    def test_bessel_k_closed_form(self, cfg, z, nu):
+        # int_0^inf e^{-z cosh u} cosh(nu u) du = K_nu(z); the integrand is
+        # below e^{-40} of its peak past u_max
+        u_max = math.acosh(1.0 + 40.0 / z)
+        r = integrate_trapezoid(lambda u: math.exp(-z * math.cosh(u)) * math.cosh(nu * u),
+                                u_max, cfg)
+        want = float(mp.besselk(nu, z))
+        assert abs(r.value - want) <= 1e-14 * want
+        assert r.converged and r.err_est <= max(cfg.quad_abs_tol, cfg.quad_rel_tol * want)
+
+    def test_halvings_reuse_every_abscissa(self, cfg):
+        xs = []
+
+        def f(u):
+            xs.append(u)
+            return math.exp(-math.cosh(u))
+
+        r = integrate_trapezoid(f, math.acosh(41.0), cfg)
+        assert len(xs) == len(set(xs)) == r.evals
+        assert (r.evals - 1) % 8 == 0 and r.evals > 9
+
+    def test_unsettled_sums_raise(self, cfg):
+        # sqrt|u| is even but not analytic at 0: the sums converge like step^1.5
+        with pytest.raises(ConvergenceError, match="unsettled") as exc:
+            integrate_trapezoid(lambda u: math.sqrt(abs(u)), 1.0, cfg)
+        partial = exc.value.partial
+        assert not partial.converged
+        assert partial.evals == 8 * 2 ** TRAPEZOID_HALVINGS + 1
+        assert abs(partial.value - 2.0 / 3.0) < 1e-5
+
+    def test_bad_interval(self, cfg):
+        with pytest.raises(ValueError):
+            integrate_trapezoid(math.exp, 0.0, cfg)
 
 
 def test_neumaier_compensation():

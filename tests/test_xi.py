@@ -7,7 +7,7 @@ import pytest
 from conftest import xi_mod_sq_reference, xi_reference
 from xi_ineq.errors import ConvergenceError
 from xi_ineq.quadrature import integrate_finite
-from xi_ineq.xi import (_H_LOG_CUT, _U_PROBES, _U_STEP, _U_X, U_sigma, _g, _u_line_sum,
+from xi_ineq.xi import (_H_LOG_CUT, _U_PROBES, _U_STEP, _U_X, U_sigma, _g, _g_array, _u_line_sum,
                         _u_table, char_fn_Xi, density_P, density_Pbar, xi, xi_mod_sq,
                         xi_mod_sq_via_U, xi_real)
 
@@ -53,6 +53,21 @@ class TestXi:
         # Xi(1/2 - it) is real; its smallest positive zero sits near 14.1347
         lo, hi = xi(complex(0.5, -14.10), cfg).real, xi(complex(0.5, -14.20), cfg).real
         assert lo > 0.0 > hi
+
+
+    @pytest.mark.parametrize("s", [complex(0.75, -5.0), complex(0.6, 14.2)])
+    def test_one_integrand_value_per_abscissa(self, cfg, monkeypatch, s):
+        # the imaginary pass reads the values of the real one
+        xs = []
+        psi = xi_module.psi_theta
+
+        def counted(x, cfg=cfg):
+            xs.append(x)
+            return psi(x, cfg)
+
+        monkeypatch.setattr(xi_module, "psi_theta", counted)
+        xi(s, cfg)
+        assert len(xs) == len(set(xs)) > 0
 
 
 class TestModSq:
@@ -149,6 +164,12 @@ class TestUTable:
         assert _g(sigma, edge, cfg) == 0.0
         assert _g(sigma, -edge, cfg) == 0.0
         assert _g(sigma, 0.0, cfg) > 0.0
+
+    @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.95])
+    def test_array_g_matches_scalar_g(self, cfg, sigma):
+        xs = np.linspace(-_H_LOG_CUT, _H_LOG_CUT, 1001)
+        want = np.array([_g(sigma, float(x), cfg) for x in xs])
+        assert np.max(np.abs(_g_array(sigma, xs, cfg) - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_build_calls_U_sigma_only_at_the_probes(self, cfg, monkeypatch):
         ys = []
