@@ -382,11 +382,12 @@ def cmd_selftest(args, cfg: EvalConfig) -> int:
              and max(t_vals) - min(t_vals) <= 1e-6 * abs(t_vals[0]))
     check("constants_three_way", agree, {"S": s_vals, "T": t_vals})
 
+    oracles = {}
     for t in (0.0, 5.0):
-        rep, oracle = modulus_rhs(0.75, t, cfg), xi_mod_sq(0.75, t, cfg)
-        scale = max(xi_real(0.75, cfg) ** 2, oracle)
-        check(f"modulus_identity_t{t}", abs(rep - oracle) <= 1e-6 * scale, rep - oracle)
-    u_route = xi_mod_sq_via_U(0.75, 5.0, cfg)   # oracle is the loop's last, at t = 5
+        rep, oracles[t] = modulus_rhs(0.75, t, cfg), xi_mod_sq(0.75, t, cfg)
+        scale = max(xi_real(0.75, cfg) ** 2, oracles[t])
+        check(f"modulus_identity_t{t}", abs(rep - oracles[t]) <= 1e-6 * scale, rep - oracles[t])
+    u_route, oracle = xi_mod_sq_via_U(0.75, 5.0, cfg), oracles[5.0]
     check("correlation_route_t5", abs(u_route - oracle) <= 1e-6 * abs(oracle),
           u_route - oracle)
 

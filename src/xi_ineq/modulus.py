@@ -516,14 +516,16 @@ def S_T_constants(sigma: float, method: str = "B_series",
 
     Converged tolerances make the three routes agree; `paper_truncation`
     switches routes B and C to their published fixed-truncation recipes (route
-    A has no published recipe and rejects the flag).  Converged route B is the
-    one `_w_table` runs for its record, read from there, so it runs once per
-    sigma; a call without the table cached builds it.
+    A has no published recipe and rejects the flag).  For sigma in (0, 1), the
+    strip of every W-table reader, converged route B is the one `_w_table` runs
+    for its record, read from there, so it runs once per sigma; a call without
+    the table cached builds it.  Outside the strip, where the table's absolute
+    certification need not hold, route B runs on its own.
     """
     routes = {"A_direct": _st_method_A, "B_series": _st_method_B, "C_inversion": _st_method_C}
     if method not in routes:
         raise ValueError(f"unknown method {method!r}")
-    if method == "B_series" and not paper_truncation:
+    if method == "B_series" and not paper_truncation and 0.0 < sigma < 1.0:
         table = _w_table(sigma, cfg)
         return ConstantsReport(sigma, table.s, table.t, method, dict(table.truncation),
                                table.err_est)

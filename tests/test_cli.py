@@ -258,6 +258,17 @@ class TestCommands:
         assert code == 0
         assert runs == [0.75]
 
+    @pytest.mark.parametrize("method", ["B_series", "all"])
+    def test_route_b_outside_the_strip_runs_without_the_w_table(self, capsys, method):
+        # the W table certifies only up to sigma about 7.75; route B has no such
+        # limit, and its values at sigma = 8 are the ones it gave standalone
+        _w_table.cache_clear()
+        code, out = run_cli(capsys, "constants", "--sigma", "8", "--method", method)
+        assert code == 0
+        row = next(r for r in json.loads(out)["outputs"]["rows"] if r["method"] == "B_series")
+        assert (row["S"], row["T"]) == (-51.617875308134678, -1.8024837230142985)
+        assert _w_table.cache_info().misses == 0
+
     def test_montecarlo_computes_each_transform_once(self, capsys, monkeypatch):
         # every row and the t = 0 normalization read one W table; none of
         # them runs an adaptive transform
