@@ -428,14 +428,18 @@ def scan_for_zero(f: Callable[[float], float], t_lo: float, t_max: float,
 
     A change is trusted only when both endpoints clear `noise_floor` in
     magnitude (10x the local error estimate, for quadrature-backed f).
-    Returns {'zero': t or None, 'min_value': .., 'min_t': ..}.
+    Returns {'zero': t or None, 'min_value': .., 'min_t': ..}; DomainError when
+    [t_lo, t_max] holds no grid point.
     """
     if step <= 0.0:
         raise DomainError(f"zero scan needs step > 0, got {step!r}")
     k_lo = math.ceil(t_lo / step - 1e-9)
+    k_hi = math.floor(t_max / step + 1e-9)
+    if k_hi < k_lo:
+        raise DomainError(f"zero scan has no grid point k * {step!r} in [{t_lo!r}, {t_max!r}]")
     t_prev, f_prev = k_lo * step, f(k_lo * step)
     min_v, min_t = f_prev, t_prev
-    for k in range(k_lo + 1, math.floor(t_max / step + 1e-9) + 1):
+    for k in range(k_lo + 1, k_hi + 1):
         t = k * step
         f_t = f(t)
         if f_t < min_v:

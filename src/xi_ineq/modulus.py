@@ -33,8 +33,9 @@ transform (`w_cos_fixed`), of the moments (`_scaled_moments`), of the sampler's
 density, of `constants` and of `S_T_constants(sigma, "B_series")` takes it from
 there, so route B runs once per sigma.  The J/eta route, a(k) and c(k) read one
 record per tau, `_jeta_table`: the same rule's masses with values from J and eta
-alone, and the route's two t-independent integrals.  The adaptive `w_cos_transform` stays as the
-independent cross-check of both.
+alone, and the route's two t-independent integrals.  Every Gcal value and
+eta-weighted integral is one trapezoid sum in u, so neither table runs the
+adaptive engine; the adaptive `w_cos_transform` stays as the cross-check of both.
 """
 
 from __future__ import annotations
@@ -171,14 +172,23 @@ def _g_weights(sigma: float, lam: float, deriv: int, cfg: EvalConfig):
     return out
 
 
-def _calg_integrand(sigma: float, lam: float, deriv: int, cfg: EvalConfig):
-    """calG's integrand in u, even and analytic, and the cutoff u_max past which it
-    is negligible, as (integrand, u_max); None when every product term underflows."""
+def calG(sigma: float, lam: float, deriv: int = 0,
+         cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+    """deriv-th derivative of Gcal_sigma(lam) = sum_{m,n} m^{-sigma-1/2}
+    n^{sigma-3/2} F_sigma(pi m n lam).
+
+    The (m, n) sum collapses over the product p = mn with divisor-sum weights,
+    and the remaining p-sum is folded inside a single cosh-substituted integral,
+    even and analytic in u and negligible past its cutoff, so each evaluation is
+    one `integrate_trapezoid`.  Acceptance is relative (values span e^{-2 pi lam}
+    scales): the engine gets an absolute target of 1e-300.
+    """
+    if lam <= 0.0:
+        raise DomainError(f"calG needs lam > 0, got {lam!r}")
     terms = _g_weights(sigma, lam, deriv, cfg)
     if not terms:
-        return None
+        return 0.0
     tau = sigma - 0.5
-    u_max = _f_cosh_cutoff(terms[0][0], cfg)
     scale = 2.0 ** (-tau)
 
     # w * _f_poly(0, mu, c) is w * mu: for deriv 0 (every Hcal and W call) the
@@ -195,34 +205,13 @@ def _calg_integrand(sigma: float, lam: float, deriv: int, cfg: EvalConfig):
             acc += (coef * _f_poly(deriv, mu, c) if deriv else coef) * math.exp(-a)
         return scale * acc * math.cosh(tau * u)
 
-    return integrand, u_max
+    return integrate_trapezoid(integrand, _f_cosh_cutoff(terms[0][0], cfg),
+                               replace(cfg, quad_abs_tol=1e-300)).value
 
 
-def calG(sigma: float, lam: float, deriv: int = 0,
-         cfg: EvalConfig = DEFAULT_CONFIG, abs_tol: float = None) -> float:
-    """deriv-th derivative of Gcal_sigma(lam) = sum_{m,n} m^{-sigma-1/2}
-    n^{sigma-3/2} F_sigma(pi m n lam).
-
-    The (m, n) sum collapses over the product p = mn with divisor-sum weights,
-    and the remaining p-sum is folded inside a single cosh-substituted integral
-    so each evaluation costs one adaptive quadrature.  Acceptance is relative
-    by default (values span e^{-2 pi lam} scales); callers that only need an
-    absolute target, like the cosine transform, pass `abs_tol`.
-    """
-    if lam <= 0.0:
-        raise DomainError(f"calG needs lam > 0, got {lam!r}")
-    rule = _calg_integrand(sigma, lam, deriv, cfg)
-    if rule is None:
-        return 0.0
-    integrand, u_max = rule
-    return integrate_finite(integrand, 0.0, u_max, cfg,
-                            abs_tol=1e-300 if abs_tol is None else abs_tol).value
-
-
-def calH(sigma: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG,
-         abs_tol: float = None) -> float:
+def calH(sigma: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Hcal_sigma(x) = Gcal_sigma(e^x) e^{-x/2}; decays like exp(-2 pi e^x)."""
-    return calG(sigma, math.exp(x), 0, cfg, abs_tol=abs_tol) * math.exp(-0.5 * x)
+    return calG(sigma, math.exp(x), 0, cfg) * math.exp(-0.5 * x)
 
 
 def calH_derivs_at_0(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
@@ -304,24 +293,17 @@ class WTable:
 
 @config_cache(maxsize=32)
 def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> WTable:
-    """W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma at the nodes _X, each an adaptive
-    `calH` at the cosine transform's absolute target 0.1 quad_abs_tol, and route B's
-    converged S and T.  The polynomial through the node values is the density that the
-    transform, the moments and the sampler read.  It is certified, to 1e-8 absolute in W,
-    at the 57 _PROBES against Hcal by a different rule: `integrate_trapezoid` on Gcal's
-    integrand at the same target.  ConvergenceError (partial: the worst deviation) is
-    raised when it misses."""
+    """W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma at the nodes _X, each a `calH`
+    value, and route B's converged S and T.  The polynomial through the node values is
+    the density that the transform, the moments and the sampler read.  It is certified,
+    to 1e-8 absolute in W, at the 57 _PROBES against the same `calH`: each value, node
+    or probe, is one trapezoid sum settled to relative accuracy by its own halving
+    difference, so the check measures the interpolant alone.  ConvergenceError
+    (partial: the worst deviation) is raised when it misses."""
     pref = 2.0 ** (sigma + 1.5) / math.pi
-    abs_tol = 0.1 * cfg.quad_abs_tol
-    probe_cfg = replace(cfg, quad_abs_tol=abs_tol)
-
-    def probe(x):
-        integrand, u_max = _calg_integrand(sigma, math.exp(x), 0, cfg)
-        return pref * integrate_trapezoid(integrand, u_max, probe_cfg).value * math.exp(-0.5 * x)
-
-    values = pref * np.array([calH(sigma, float(x), cfg, abs_tol=abs_tol) for x in _X])
-    worst = float(np.max(np.abs(barycentric(values, _X, _BARY, _PROBES)
-                                - np.array([probe(float(x)) for x in _PROBES]))
+    values = pref * np.array([calH(sigma, float(x), cfg) for x in _X])
+    probes = pref * np.array([calH(sigma, float(x), cfg) for x in _PROBES])
+    worst = float(np.max(np.abs(barycentric(values, _X, _BARY, _PROBES) - probes)
                          * np.exp(sigma * _PROBES)))
     if worst > 1e-8:
         raise ConvergenceError(
@@ -365,11 +347,12 @@ def _w_exp_cutoff(cfg: EvalConfig) -> float:
 
 def w_cos_transform(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """int_0^inf W_sigma(x) e^{-sigma x} cos(tx) dx, adaptively through the closed
-    form (the integrand is 2^{sigma+3/2} pi^{-1} Hcal_sigma(x)): the independent
-    cross-check of `w_cos_fixed`, which the library itself reads."""
+    form (the integrand is 2^{sigma+3/2} pi^{-1} Hcal_sigma(x), each value a
+    relative-target `calH`): the independent cross-check of `w_cos_fixed`, which
+    the library itself reads."""
     pref = 2.0 ** (sigma + 1.5) / math.pi
     result = integrate_oscillatory_cos(
-        lambda x: pref * calH(sigma, x, cfg, abs_tol=0.1 * cfg.quad_abs_tol), t, 0.0,
+        lambda x: pref * calH(sigma, x, cfg), t, 0.0,
         decay_rate=2.0 * math.pi, cfg=cfg, cutoff=_w_exp_cutoff(cfg))
     return result.value
 
@@ -470,7 +453,7 @@ def _st_method_B(sigma: float, cfg: EvalConfig, paper_truncation: bool):
         t_sum = h["h1"]
         s_sum = (s * s + (1.0 - s) ** 2) * h["h1"] - h["h3"]
         trunc = {"product_sum_terms": len(_g_weights(s, 1.0, 0, cfg)),
-                 "f_integral_bounds": "adaptive"}
+                 "f_integral_bounds": "trapezoid"}
 
     pref = 2.0 ** (s + 1.5) / math.pi
     err = cfg.quad_rel_tol * (abs(s_sum) + abs(t_sum)) * pref * 10.0

@@ -1,20 +1,21 @@
 """Integration engines: adaptive ones, a trapezoid sum, and the fixed rule of
 the node tables.
 
-Four adaptive entry points cover most integrals that are not read from a table:
+Three adaptive entry points:
 
   integrate_finite          adaptive Gauss-Kronrod 7/15 on [a, b]
   integrate_semi_infinite   [a, inf) with an explicit exponential tail cutoff
-  integrate_eta_weighted    int_1^inf g(y) eta_tau(y) dy via y = cosh(u), which
-                            removes the (y-1)^{-1/2} endpoint singularity
   integrate_oscillatory_cos int_a^inf f(x) cos(tx) dx by half-period panels
                             with compensated panel summation
 
-Beside them, one equispaced engine for the W table's certification probes:
+The cosh-substituted integrals of the W and J tables share one equispaced engine:
 
   integrate_trapezoid       int_0^u_max f(u) du for f even, analytic and
                             negligible at u_max, by the trapezoid rule with its
                             step halved until two sums agree
+  integrate_eta_weighted    int_1^inf g(y) eta_tau(y) dy via y = cosh(u), which
+                            removes the (y-1)^{-1/2} endpoint singularity, by
+                            integrate_trapezoid
 
 All engines report value, error estimate, evaluation count and (where one was
 chosen) the truncation point.
@@ -255,14 +256,15 @@ def integrate_eta_weighted(
 
         int_0^inf g(cosh u) * 2 cosh(tau u) du
 
-    `decay_rate` bounds g as |g(y)| <= scale*exp(-decay_rate*y).
+    by `integrate_trapezoid`: the integrand is even in u, and analytic where g
+    is.  `decay_rate` bounds g as |g(y)| <= scale*exp(-decay_rate*y).
     """
     u_max = cutoff if cutoff is not None else eta_cosh_cutoff(tau, decay_rate, cfg, scale)
 
     def integrand(u):
         return g(math.cosh(u)) * 2.0 * math.cosh(tau * u)
 
-    result = integrate_finite(integrand, 0.0, u_max, cfg)
+    result = integrate_trapezoid(integrand, u_max, cfg)
     result.truncation_point = u_max
     return result
 

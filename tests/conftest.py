@@ -72,3 +72,22 @@ def s_reference(sigma: float) -> float:
     S = 2 xi(sigma)^2 - sigma^2 (1-sigma)^2 z0(sigma)."""
     two_xi_sq = 2.0 * xi_reference(sigma).real ** 2
     return two_xi_sq - sigma ** 2 * (1.0 - sigma) ** 2 * w_moment_reference(sigma)
+
+
+def w_exp_reference(sigma: float, x: float) -> float:
+    """W_sigma(x) e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Gcal_sigma(e^x) e^{-x/2} from
+    F's Bessel form F_sigma(lam) = 2^{1/2-sigma} lam K_{sigma-1/2}(2 lam), mpmath
+    only: Gcal(lam) = sum_p sigma_{2 sigma-1}(p) p^{-sigma-1/2} F(pi p lam), summed
+    until a term is below 1e-25 of the sum."""
+    with mp.workdps(25):
+        s, lam = mp.mpf(sigma), mp.exp(x)
+        total, p = mp.mpf(0), 1
+        while True:
+            divisors = sum(mp.mpf(d) ** (2 * s - 1) for d in range(1, p + 1) if p % d == 0)
+            mu = mp.pi * p * lam
+            term = divisors * mp.mpf(p) ** (-s - 0.5) * mu * mp.besselk(s - 0.5, 2 * mu)
+            total += term
+            if term < mp.mpf(10) ** -25 * total:
+                break
+            p += 1
+        return float(2 ** (s + 1.5) / mp.pi * 2 ** (0.5 - s) * total * mp.exp(-x / 2))

@@ -266,7 +266,7 @@ class TestCommands:
         code, out = run_cli(capsys, "constants", "--sigma", "8", "--method", method)
         assert code == 0
         row = next(r for r in json.loads(out)["outputs"]["rows"] if r["method"] == "B_series")
-        assert (row["S"], row["T"]) == (-51.617875308134678, -1.8024837230142985)
+        assert (row["S"], row["T"]) == (-51.61787530813476, -1.8024837230142985)
         assert _w_table.cache_info().misses == 0
 
     def test_montecarlo_computes_each_transform_once(self, capsys, monkeypatch):
@@ -323,8 +323,8 @@ class TestCommands:
         calH = modulus.calH
         bad_node = float(modulus._X[8])
 
-        def off(sigma, x, cfg=DEFAULT_CONFIG, abs_tol=None):
-            return calH(sigma, x, cfg, abs_tol) + (1e-7 if x == bad_node else 0.0)
+        def off(sigma, x, cfg=DEFAULT_CONFIG):
+            return calH(sigma, x, cfg) + (1e-7 if x == bad_node else 0.0)
 
         monkeypatch.setattr(modulus, "calH", off)
         _w_table.cache_clear()
@@ -332,6 +332,14 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "certification" in err
+
+    def test_autocorr_range_with_no_grid_point_is_usage_error(self, capsys):
+        # t = 0.5 is past t_max = 0.3: no point of the zero scan's grid
+        code = main(["autocorr", "--t-max", "0.3", "--step", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "no grid point" in err
 
     @pytest.mark.parametrize("argv, mention", [
         (["autocorr", "--step", "-0.5"], "step"),

@@ -191,8 +191,7 @@ class TestSampler:
 
     def test_w_table_evaluates_hcal_at_most_121_times(self, cfg, monkeypatch):
         # 64 Chebyshev nodes plus 57 certification probes, each one Hcal value (a
-        # Gcal call at the table's absolute target); S and T add route B's four
-        # Gcal derivatives at 1
+        # Gcal call at e^x != 1); S and T add route B's four Gcal derivatives at 1
         calls = []
         calG = modulus.calG
 
@@ -203,8 +202,8 @@ class TestSampler:
         monkeypatch.setattr(modulus, "calG", counted)
         _w_table.cache_clear()
         _w_table(0.75, cfg)
-        hcal = [args for args, kwargs in calls if "abs_tol" in kwargs]
-        route_b = [args for args, kwargs in calls if "abs_tol" not in kwargs]
+        hcal = [args for args, kwargs in calls if args[1] != 1.0]
+        route_b = [args for args, kwargs in calls if args[1] == 1.0]
         assert all(args[2] == 0 for args in hcal)
         assert 0 < len(hcal) <= 121
         assert route_b == [(0.75, 1.0, d, cfg) for d in range(4)]
@@ -425,6 +424,16 @@ class TestZeroLocalization:
 
         with pytest.raises(DomainError, match="step"):
             scan_for_zero(probe, 0.5, 2.0, step)
+
+    def test_scan_rejects_a_range_with_no_grid_point(self):
+        # t_max below the first multiple of step past t_lo: nothing to scan,
+        # and f is never called
+        calls = []
+        with pytest.raises(DomainError, match="no grid point"):
+            scan_for_zero(calls.append, 0.5, 0.3, 0.5)
+        assert calls == []
+        with pytest.raises(DomainError, match="no grid point"):
+            orthogonalization_scan(0.75, 0.3, 0.5)
 
     def test_noise_floor_suppresses_spurious_changes(self):
         wiggle = lambda t: 1e-14 * math.sin(50.0 * t) + 1e-16

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from conftest import s_reference, w_moment_reference, xi_mod_sq_reference
-from xi_ineq import modulus
+from conftest import s_reference, w_exp_reference, w_moment_reference, xi_mod_sq_reference
+from xi_ineq import modulus, quadrature
 from xi_ineq.config import EvalConfig
 from xi_ineq.errors import ConvergenceError, DomainError
 from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _PROBES, _X, _jeta_table,
@@ -168,11 +168,11 @@ class TestConstants:
     def test_series_route_reads_four_gcal_derivatives(self, cfg, monkeypatch):
         # converged route B is Hcal's derivatives at 0: Gcal and its first three
         # derivatives at 1, and no F-integral of its own.  It runs inside the W
-        # table's build, whose node values are the Gcal calls with abs_tol
+        # table's build, whose node and probe values are Gcal calls at e^x != 1
         calls = []
         for name in ("calG", "F_sigma"):
             def counted(*args, _name=name, _f=getattr(modulus, name), **kwargs):
-                if "abs_tol" not in kwargs:
+                if _name == "F_sigma" or args[1] == 1.0:
                     calls.append((_name, args))
                 return _f(*args, **kwargs)
             monkeypatch.setattr(modulus, name, counted)
@@ -217,17 +217,43 @@ class TestWTable:
         assert abs(modulus_rhs(0.75, t, cfg) - want) <= 1e-12 * scale
 
     def test_node_values_match_relative_target_hcal(self, cfg):
-        # the table's Hcal calls stop at an absolute target; relative
-        # acceptance takes five times the evaluations for the same values
+        # the table's node values are relative-target Hcal calls, with no
+        # absolute target of their own
         pref = 2.0 ** (0.75 + 1.5) / math.pi
         want = np.array([pref * calH(0.75, float(x), cfg) for x in _X])
         assert np.max(np.abs(_w_table(0.75, cfg).values - want)) <= 1e-18
 
+    @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.95])
+    def test_node_values_match_mpmath_bessel_k(self, cfg, sigma):
+        # each node value is a relative-target Hcal, so it keeps 1e-13 relative
+        # down the tail, where W e^{-sigma x} falls to about 1e-30
+        want = np.array([w_exp_reference(sigma, float(x)) for x in _X])
+        assert np.max(np.abs(_w_table(sigma, cfg).values / want - 1.0)) <= 1e-13
+
+    def test_tables_run_no_adaptive_quadrature(self, cfg, monkeypatch):
+        # every Gcal value and eta-weighted integral of the two tables is one
+        # trapezoid sum: W's 64 nodes, 57 probes and route B's four derivatives
+        # at 1; J's 128 nodes and the J/eta route's two integrals
+        calls = []
+        for module in (modulus, quadrature):
+            for name in ("integrate_finite", "integrate_trapezoid"):
+                def counted(*args, _name=name, _f=getattr(module, name), **kwargs):
+                    calls.append(_name)
+                    return _f(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        _w_table.cache_clear()
+        _w_table(0.75, cfg)
+        assert calls == ["integrate_trapezoid"] * (64 + 57 + 4)
+        calls.clear()
+        _jeta_table.cache_clear()
+        _jeta_table(0.25, cfg)
+        assert calls == ["integrate_trapezoid"] * (128 + 2)
+
     def test_certification_rejects_a_node_off_by_1e7(self, cfg, monkeypatch):
         bad_node = float(_X[8])
 
-        def off(sigma, x, cfg=cfg, abs_tol=None):
-            return calH(sigma, x, cfg, abs_tol) + (1e-7 if x == bad_node else 0.0)
+        def off(sigma, x, cfg=cfg):
+            return calH(sigma, x, cfg) + (1e-7 if x == bad_node else 0.0)
 
         monkeypatch.setattr(modulus, "calH", off)
         _w_table.cache_clear()
@@ -236,36 +262,31 @@ class TestWTable:
         assert exc.value.partial > 1e-8
 
     def test_certification_rejects_a_probe_off_by_1e7(self, cfg, monkeypatch):
-        # the probes are fixed-rule values, one trapezoid sum each, in _PROBES order
-        trapezoid = modulus.integrate_trapezoid
-        calls = []
+        # the probes are calH values like the nodes, one trapezoid sum each
+        bad_probe = float(_PROBES[1])
 
-        def off(f, u_max, cfg):
-            calls.append(u_max)
-            result = trapezoid(f, u_max, cfg)
-            if len(calls) == 2:
-                result.value += 1e-7
-            return result
+        def off(sigma, x, cfg=cfg):
+            return calH(sigma, x, cfg) + (1e-7 if x == bad_probe else 0.0)
 
-        monkeypatch.setattr(modulus, "integrate_trapezoid", off)
+        monkeypatch.setattr(modulus, "calH", off)
         _w_table.cache_clear()
         with pytest.raises(ConvergenceError, match="certification") as exc:
             _w_table(0.75, cfg)
         assert exc.value.partial > 1e-8
 
-    def test_probes_use_the_fixed_rule_and_nodes_the_adaptive_one(self, cfg, monkeypatch):
+    def test_nodes_and_probes_are_one_calH_call_each(self, cfg, monkeypatch):
         calls = []
-        for name in ("calG", "integrate_trapezoid"):
+        for name in ("calH", "calG", "integrate_trapezoid"):
             def counted(*args, _name=name, _f=getattr(modulus, name), **kwargs):
-                calls.append((_name, "abs_tol" in kwargs))
+                calls.append(_name)
                 return _f(*args, **kwargs)
             monkeypatch.setattr(modulus, name, counted)
         _w_table.cache_clear()
         _w_table(0.75, cfg)
-        assert calls.count(("calG", True)) == len(_X) == 64
-        assert calls.count(("calG", False)) == 4          # route B's derivatives at 1
-        assert calls.count(("integrate_trapezoid", False)) == len(_PROBES) == 57
-        assert len(calls) == 64 + 4 + 57
+        assert calls.count("calH") == len(_X) + len(_PROBES) == 64 + 57
+        assert calls.count("calG") == 64 + 57 + 4          # route B's derivatives at 1
+        assert calls.count("integrate_trapezoid") == 64 + 57 + 4   # one sum a Gcal value
+        assert len(calls) == 3 * (64 + 57) + 2 * 4
 
     def test_route_b_record_is_the_whole_report(self, cfg):
         _w_table.cache_clear()
@@ -275,6 +296,11 @@ class TestWTable:
             s_value, t_value, err, trunc)
         rep.truncation["changed"] = True
         assert "changed" not in _w_table(0.6, cfg).truncation
+
+    def test_route_b_record_names_the_trapezoid_rule(self, cfg):
+        # Gcal's derivatives at 1 are trapezoid sums, not adaptive integrals
+        rep = S_T_constants(0.75, "B_series", cfg)
+        assert rep.truncation["f_integral_bounds"] == "trapezoid"
 
     def test_constants_are_route_b_in_the_record(self, cfg):
         rep = S_T_constants(0.6, "B_series", cfg)
