@@ -30,7 +30,7 @@ import time
 from . import __version__
 from .config import DEFAULT_CONFIG, EvalConfig, config_from_mapping, parse_config_text
 from .errors import ConvergenceError, DomainError, EvaluationError
-from .inequality import (autocorrelation_A, mc_check, mm_bound,
+from .inequality import (autocorrelation_A, grid_indices, mc_check, mm_bound,
                          orthogonalization_scan, scan_inequality)
 from .modulus import (S_T_constants, a_coeff, modulus_rhs, modulus_rhs_via_J,
                       power_series_coeffs)
@@ -312,8 +312,7 @@ def cmd_montecarlo(args, cfg: EvalConfig) -> int:
 def cmd_autocorr(args, cfg: EvalConfig) -> int:
     sigma = args.sigma
     scan = orthogonalization_scan(sigma, args.t_max, args.step, cfg)   # rejects bad step, t_max
-    n = int(math.floor(args.t_max / args.step + 1e-9))
-    grid = [k * args.step for k in range(n + 1)]
+    grid = [k * args.step for k in grid_indices(0.0, args.t_max, args.step, "autocorr")]
     values = [autocorrelation_A(sigma, t, cfg) for t in grid]
     rows = [{"sigma": sigma, "t": t, "A": v} for t, v in zip(grid, values)]
     a0_ok = abs(values[0] - 1.0) <= 1e-12

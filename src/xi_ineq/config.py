@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,12 @@ class EvalConfig:
         for name in ("series_max_terms", "quad_max_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # every cached series value is keyed on (y, cfg): hash the fields once,
+        # not on each lookup; equality stays the dataclass's, field by field
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def truncation_point(self, decay_rate: float, scale: float = 1.0) -> float:
         """Smallest X with scale*exp(-decay_rate*X)/decay_rate <= quad_abs_tol/10.

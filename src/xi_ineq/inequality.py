@@ -36,6 +36,19 @@ from .quadrature import BARY_BLOCK, integrate_finite
 from .theta import sup_constant_C, sup_constant_Cn
 
 
+MAX_GRID_POINTS = 10 ** 6   # a t-grid past this is a mistyped step, not a scan
+
+
+def grid_indices(t_lo: float, t_max: float, step: float, what: str) -> range:
+    """The k with k * step in [t_lo, t_max] (1e-9 of a step of slack at both ends),
+    the grid of the scans and the CLI.  DomainError, before anything is allocated,
+    when [t_lo, t_max] spans MAX_GRID_POINTS steps or more."""
+    if not t_max / step - t_lo / step < MAX_GRID_POINTS:    # also inf, nan on overflow
+        raise DomainError(f"{what} grid of step {step!r} on [{t_lo!r}, {t_max!r}] has "
+                          f"more than {MAX_GRID_POINTS} points")
+    return range(math.ceil(t_lo / step - 1e-9), math.floor(t_max / step + 1e-9) + 1)
+
+
 @dataclass
 class ScanReport:
     sigma: float
@@ -91,8 +104,7 @@ def scan_inequality(sigma: float, t_max: float, step: float,
         raise DomainError(f"scan needs sigma in (1/2,1), got {sigma!r}")
     if step <= 0.0 or t_max < 0.0:
         raise DomainError(f"scan needs step > 0 and t_max >= 0, got {step!r}, {t_max!r}")
-    n = int(math.floor(t_max / step + 1e-9))
-    grid = [k * step for k in range(n + 1)]
+    grid = [k * step for k in grid_indices(0.0, t_max, step, "scan")]
 
     if route == "representation":
         s_val, t_val = constants(sigma, cfg)
@@ -429,17 +441,16 @@ def scan_for_zero(f: Callable[[float], float], t_lo: float, t_max: float,
     A change is trusted only when both endpoints clear `noise_floor` in
     magnitude (10x the local error estimate, for quadrature-backed f).
     Returns {'zero': t or None, 'min_value': .., 'min_t': ..}; DomainError when
-    [t_lo, t_max] holds no grid point.
+    [t_lo, t_max] holds no grid point, or more than MAX_GRID_POINTS.
     """
     if step <= 0.0:
         raise DomainError(f"zero scan needs step > 0, got {step!r}")
-    k_lo = math.ceil(t_lo / step - 1e-9)
-    k_hi = math.floor(t_max / step + 1e-9)
-    if k_hi < k_lo:
+    ks = grid_indices(t_lo, t_max, step, "zero scan")
+    if not ks:
         raise DomainError(f"zero scan has no grid point k * {step!r} in [{t_lo!r}, {t_max!r}]")
-    t_prev, f_prev = k_lo * step, f(k_lo * step)
+    t_prev, f_prev = ks[0] * step, f(ks[0] * step)
     min_v, min_t = f_prev, t_prev
-    for k in range(k_lo + 1, k_hi + 1):
+    for k in ks[1:]:
         t = k * step
         f_t = f(t)
         if f_t < min_v:

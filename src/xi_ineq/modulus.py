@@ -34,8 +34,11 @@ density, of `constants` and of `S_T_constants(sigma, "B_series")` takes it from
 there, so route B runs once per sigma.  The J/eta route, a(k) and c(k) read one
 record per tau, `_jeta_table`: the same rule's masses with values from J and eta
 alone, and the route's two t-independent integrals.  Every Gcal value and
-eta-weighted integral is one trapezoid sum in u, so neither table runs the
-adaptive engine; the adaptive `w_cos_transform` stays as the cross-check of both.
+eta-weighted integral is one row of a trapezoid sum in u, and each table values
+its nodes in one batched engine call (the W table's 64 nodes and 57 probes are
+one `calH` call, the J table's 128 nodes one `integrate_eta_weighted` call), so
+neither table runs the adaptive engine or loops over nodes in Python; the adaptive `w_cos_transform`, which calls `calH`
+one abscissa at a time, stays as the cross-check of both.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError
 from .quadrature import (barycentric, chebyshev_fejer, integrate_eta_weighted,
                          integrate_finite, integrate_oscillatory_cos,
-                         integrate_semi_infinite, integrate_trapezoid)
+                         integrate_semi_infinite, integrate_trapezoid, libm)
 from .theta import (J_tau, divisor_sigma, stable_combo_A, stable_combo_B,
                     theta_R, theta_R_prime, theta_R_prime_truncated,
                     theta_R_truncated)
@@ -130,7 +133,7 @@ def F_sigma(sigma: float, lam: float, deriv: int = 0, form: str = "direct",
         if deriv != 0:
             raise ValueError("form='eta' supports deriv=0 only")
         result = integrate_eta_weighted(
-            lambda y: lam * math.exp(-2.0 * lam * y), tau, cfg,
+            lambda y, rows: lam * libm(math.exp, -2.0 * lam * y), tau, cfg,
             decay_rate=2.0 * lam, scale=lam)
         return 2.0 ** (-(sigma + 0.5)) * result.value
 
@@ -172,46 +175,75 @@ def _g_weights(sigma: float, lam: float, deriv: int, cfg: EvalConfig):
     return out
 
 
-def calG(sigma: float, lam: float, deriv: int = 0,
-         cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """deriv-th derivative of Gcal_sigma(lam) = sum_{m,n} m^{-sigma-1/2}
-    n^{sigma-3/2} F_sigma(pi m n lam).
+def _gcal(sigma: float, lam: np.ndarray, deriv: int, cfg: EvalConfig) -> np.ndarray:
+    """deriv-th derivative of Gcal_sigma at every element of the 1-d array lam, one
+    trapezoid row each, all rows in one engine call.
 
-    The (m, n) sum collapses over the product p = mn with divisor-sum weights,
-    and the remaining p-sum is folded inside a single cosh-substituted integral,
-    even and analytic in u and negligible past its cutoff, so each evaluation is
-    one `integrate_trapezoid`.  Acceptance is relative (values span e^{-2 pi lam}
-    scales): the engine gets an absolute target of 1e-300.
+    With mu_p = pi p lam, each term's factor exp(-2 mu_p cosh u) is E^p for
+    E = exp(-2 pi lam cosh u), so the product sum at an abscissa is a polynomial in
+    E, taken by Horner's rule from the highest product down: one exp per abscissa.
+    A row with fewer products than the batch's longest starts its Horner sum on
+    exact zeros, so its bits are those of its one-row call; a row whose product
+    sum is empty (2 pi lam past exp's underflow) is exactly 0.0.
     """
-    if lam <= 0.0:
-        raise DomainError(f"calG needs lam > 0, got {lam!r}")
-    terms = _g_weights(sigma, lam, deriv, cfg)
-    if not terms:
-        return 0.0
+    terms = [_g_weights(sigma, v, deriv, cfg) for v in lam.tolist()]
+    out = np.zeros(len(terms))
+    filled = [i for i, products in enumerate(terms) if products]
+    if not filled:
+        return out
+    n_terms = max(len(terms[i]) for i in filled)
+    mu = np.zeros((len(filled), n_terms))
+    coef = np.zeros((len(filled), n_terms))
+    for r, i in enumerate(filled):
+        for p, (mu_p, w) in enumerate(terms[i]):
+            # w * _f_poly(0, mu, c) is w * mu: for deriv 0 (every Hcal and W value)
+            # the whole coefficient is one constant per term
+            mu[r, p], coef[r, p] = mu_p, w * mu_p if deriv == 0 else w
+    two_mu = 2.0 * mu[:, :1]
     tau = sigma - 0.5
     scale = 2.0 ** (-tau)
 
-    # w * _f_poly(0, mu, c) is w * mu: for deriv 0 (every Hcal and W call) the
-    # whole coefficient is one constant per term
-    weights = [(2.0 * mu, w * mu if deriv == 0 else w, mu) for mu, w in terms]
+    def integrand(u, rows):
+        c = libm(math.cosh, u)
+        e = libm(math.exp, -(two_mu[rows] * c))
+        a, m = coef[rows], mu[rows]
+        acc = np.zeros_like(c)
+        for p in range(n_terms - 1, -1, -1):
+            acc *= e
+            acc += a[:, p, None] * _f_poly(deriv, m[:, p, None], c) if deriv else a[:, p, None]
+        acc *= e
+        return scale * acc * libm(math.cosh, tau * u)
 
-    def integrand(u):
-        c = math.cosh(u)
-        acc = 0.0
-        for two_mu, coef, mu in weights:
-            a = two_mu * c
-            if a > _EXP_UNDERFLOW:
-                break
-            acc += (coef * _f_poly(deriv, mu, c) if deriv else coef) * math.exp(-a)
-        return scale * acc * math.cosh(tau * u)
-
-    return integrate_trapezoid(integrand, _f_cosh_cutoff(terms[0][0], cfg),
-                               replace(cfg, quad_abs_tol=1e-300)).value
+    u_max = np.array([_f_cosh_cutoff(mu_1, cfg) for mu_1 in mu[:, 0].tolist()])
+    out[filled] = integrate_trapezoid(integrand, u_max, replace(cfg, quad_abs_tol=1e-300)).value
+    return out
 
 
-def calH(sigma: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Hcal_sigma(x) = Gcal_sigma(e^x) e^{-x/2}; decays like exp(-2 pi e^x)."""
-    return calG(sigma, math.exp(x), 0, cfg) * math.exp(-0.5 * x)
+def calG(sigma: float, lam, deriv: int = 0, cfg: EvalConfig = DEFAULT_CONFIG):
+    """deriv-th derivative of Gcal_sigma(lam) = sum_{m,n} m^{-sigma-1/2}
+    n^{sigma-3/2} F_sigma(pi m n lam), at a float lam (a float back) or at every
+    element of a 1-d array (an array back, one engine call for all).
+
+    The (m, n) sum collapses over the product p = mn with divisor-sum weights,
+    and the remaining p-sum, a polynomial in exp(-2 pi lam cosh u), is folded
+    inside a single cosh-substituted integral, even and analytic in u and
+    negligible past its cutoff, so each value is one `integrate_trapezoid` row.
+    Acceptance is relative (values span e^{-2 pi lam} scales): the engine gets an
+    absolute target of 1e-300.
+    """
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    if np.any(lams <= 0.0):
+        raise DomainError(f"calG needs lam > 0, got {lam!r}")
+    values = _gcal(sigma, lams, deriv, cfg)
+    return float(values[0]) if np.ndim(lam) == 0 else values
+
+
+def calH(sigma: float, x, cfg: EvalConfig = DEFAULT_CONFIG):
+    """Hcal_sigma(x) = Gcal_sigma(e^x) e^{-x/2}, at a float x or at every element of
+    a 1-d array, as `calG`; decays like exp(-2 pi e^x)."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    values = _gcal(sigma, libm(math.exp, xs), 0, cfg) * libm(math.exp, -0.5 * xs)
+    return float(values[0]) if np.ndim(x) == 0 else values
 
 
 def calH_derivs_at_0(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
@@ -293,16 +325,17 @@ class WTable:
 
 @config_cache(maxsize=32)
 def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> WTable:
-    """W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma at the nodes _X, each a `calH`
-    value, and route B's converged S and T.  The polynomial through the node values is
-    the density that the transform, the moments and the sampler read.  It is certified,
-    to 1e-8 absolute in W, at the 57 _PROBES against the same `calH`: each value, node
-    or probe, is one trapezoid sum settled to relative accuracy by its own halving
-    difference, so the check measures the interpolant alone.  ConvergenceError
-    (partial: the worst deviation) is raised when it misses."""
+    """W e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Hcal_sigma at the nodes _X, and route B's
+    converged S and T.  The polynomial through the node values is the density that the
+    transform, the moments and the sampler read.  It is certified, to 1e-8 absolute in
+    W, at the 57 _PROBES against the same Hcal: nodes and probes are the 121 rows of
+    one `calH` call, each row a trapezoid sum settled to relative accuracy by its own
+    halving difference and bit for bit its one-row value, so the check measures the
+    interpolant alone.  ConvergenceError (partial: the worst deviation) is raised when
+    it misses."""
     pref = 2.0 ** (sigma + 1.5) / math.pi
-    values = pref * np.array([calH(sigma, float(x), cfg) for x in _X])
-    probes = pref * np.array([calH(sigma, float(x), cfg) for x in _PROBES])
+    hcal = pref * calH(sigma, np.concatenate([_X, _PROBES]), cfg)
+    values, probes = hcal[:_NODES], hcal[_NODES:]
     worst = float(np.max(np.abs(barycentric(values, _X, _BARY, _PROBES) - probes)
                          * np.exp(sigma * _PROBES)))
     if worst > 1e-8:
@@ -549,25 +582,25 @@ class JTable:
 @config_cache(maxsize=32)
 def _jeta_table(tau: float, cfg: EvalConfig = DEFAULT_CONFIG) -> JTable:
     """W(x) e^{-sigma x} = 2 e^{x/2} K(e^x), K(s) = int_1^inf J_tau(s y) eta_tau(y) dy,
-    at the nodes _XT, one eta-weighted integral per node at the transform's absolute
-    target 0.1 quad_abs_tol, times the rule's weights: the same rule as
-    `WTable.masses`, whose values come from Hcal instead.  Then lin and cub."""
+    at the nodes _XT, times the rule's weights: the same rule as `WTable.masses`,
+    whose values come from Hcal instead.  The 128 K(s) are the rows of one
+    `integrate_eta_weighted` call at the transform's absolute target 0.1 quad_abs_tol,
+    each row with its own cutoff for decay 2 pi s, and each level of all rows one
+    array `J_tau` call.  Then lin and cub, one call each."""
     node_cfg = replace(cfg, quad_abs_tol=0.1 * cfg.quad_abs_tol)
-
-    def k_of(s):
-        return integrate_eta_weighted(lambda y: J_tau(tau, s * y, 0, cfg), tau, node_cfg,
-                                      decay_rate=2.0 * math.pi * s).value
-
-    w_exp = np.array([2.0 * math.exp(0.5 * x) * k_of(math.exp(x)) for x in _XT])
-    masses = _WEIGHTS_T * w_exp
+    s = libm(math.exp, _XT)     # row i is K(s_i), s_i = e^{x_i}
+    k = integrate_eta_weighted(lambda y, rows: J_tau(tau, s[rows, None] * y, 0, cfg),
+                               tau, node_cfg, decay_rate=2.0 * math.pi * s).value
+    masses = _WEIGHTS_T * (2.0 * libm(math.exp, 0.5 * _XT) * k)
     masses.flags.writeable = False
+
     lin = integrate_eta_weighted(
-        lambda y: 2.0 * y * J_tau(tau, y, 1, cfg) + J_tau(tau, y, 0, cfg),
+        lambda y, rows: 2.0 * y * J_tau(tau, y, 1, cfg) + J_tau(tau, y, 0, cfg),
         tau, cfg, decay_rate=2.0 * math.pi, scale=30.0).value
     cub = integrate_eta_weighted(
-        lambda y: y * (2.0 * y * y * J_tau(tau, y, 3, cfg)
-                       + 9.0 * y * J_tau(tau, y, 2, cfg)
-                       + 6.0 * J_tau(tau, y, 1, cfg)),
+        lambda y, rows: y * (2.0 * y * y * J_tau(tau, y, 3, cfg)
+                             + 9.0 * y * J_tau(tau, y, 2, cfg)
+                             + 6.0 * J_tau(tau, y, 1, cfg)),
         tau, cfg, decay_rate=2.0 * math.pi, scale=2e4).value
     return JTable(masses, lin, cub)
 

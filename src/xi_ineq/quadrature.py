@@ -8,14 +8,19 @@ Three adaptive entry points:
   integrate_oscillatory_cos int_a^inf f(x) cos(tx) dx by half-period panels
                             with compensated panel summation
 
-The cosh-substituted integrals of the W and J tables share one equispaced engine:
+The cosh-substituted integrals of the W and J tables share one equispaced engine,
+batched by rows: one call integrates m rows, each on its own interval, and values
+a whole level of every running row in one integrand call.  The integrands take
+exp and cosh from libm (`libm`), numpy does only adds and multiplies, and each
+row's sums are exact (math.fsum), so a row's value depends neither on the CPU's
+vector instructions nor on the rows beside it:
 
-  integrate_trapezoid       int_0^u_max f(u) du for f even, analytic and
-                            negligible at u_max, by the trapezoid rule with its
-                            step halved until two sums agree
+  integrate_trapezoid       int_0^u_max_i f(u) du for rows of f even, analytic
+                            and negligible at u_max_i, by the trapezoid rule with
+                            each row's step halved until two sums agree
   integrate_eta_weighted    int_1^inf g(y) eta_tau(y) dy via y = cosh(u), which
                             removes the (y-1)^{-1/2} endpoint singularity, by
-                            integrate_trapezoid
+                            integrate_trapezoid, one row per integral
 
 All engines report value, error estimate, evaluation count and (where one was
 chosen) the truncation point.
@@ -69,6 +74,8 @@ _WG = (
 
 @dataclass
 class QuadResult:
+    """One integral's result, or a batch's: a batched `integrate_trapezoid` gives
+    value, err_est and evals as arrays with one entry a row."""
     value: float
     err_est: float
     evals: int
@@ -218,38 +225,40 @@ def integrate_semi_infinite(
     return result
 
 
-def eta_cosh_cutoff(tau: float, decay_rate: float, cfg: EvalConfig, scale: float = 1.0) -> float:
-    """Upper limit U for the cosh-substituted weight integral.
+def eta_cosh_cutoff(tau: float, decay_rate, cfg: EvalConfig, scale: float = 1.0):
+    """Upper limit U for the cosh-substituted weight integral, for a float
+    decay_rate (a float back) or for each of an array of them (an array back).
 
     Solves decay_rate*(cosh U - 1) - |tau| U = log(20*max(scale,1)/quad_abs_tol),
-    the point where the transformed integrand bound drops below tolerance.
+    the point where the transformed integrand bound drops below tolerance, by
+    bisection on [1e-3, 40] to a bracket below 1e-3, every rate on its own.
     """
     target = math.log(20.0 * max(scale, 1.0) / cfg.quad_abs_tol)
+    rates = np.atleast_1d(np.asarray(decay_rate, dtype=float))
 
-    def g(u):
-        return decay_rate * (math.cosh(u) - 1.0) - abs(tau) * u - target
+    def g(u, i):
+        return rates[i] * (libm(math.cosh, u) - 1.0) - abs(tau) * u - target
 
-    lo, hi = 1e-3, 40.0
-    if g(hi) < 0.0:
-        return hi
+    lo, hi = np.full(rates.shape, 1e-3), np.full(rates.shape, 40.0)
+    live = np.arange(rates.size)
+    live = live[~(g(hi, live) < 0.0)]    # a rate with g(40) < 0 keeps the cutoff 40
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-3:
+        if not live.size:
             break
-    return hi
+        mid = 0.5 * (lo[live] + hi[live])
+        below = g(mid, live) < 0.0
+        lo[live[below]], hi[live[~below]] = mid[below], mid[~below]
+        live = live[~(hi[live] - lo[live] < 1e-3)]
+    return float(hi[0]) if np.ndim(decay_rate) == 0 else hi
 
 
 def integrate_eta_weighted(
-    g: Callable[[float], float],
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tau: float,
     cfg: EvalConfig,
     decay_rate: float = 2.0 * math.pi,
     scale: float = 1.0,
-    cutoff: Optional[float] = None,
+    cutoff=None,
 ) -> QuadResult:
     """int_1^inf g(y) eta_tau(y) dy with eta's inverse-square-root singularity
     removed by y = cosh(u):
@@ -257,12 +266,17 @@ def integrate_eta_weighted(
         int_0^inf g(cosh u) * 2 cosh(tau u) du
 
     by `integrate_trapezoid`: the integrand is even in u, and analytic where g
-    is.  `decay_rate` bounds g as |g(y)| <= scale*exp(-decay_rate*y).
+    is.  `decay_rate` bounds g as |g(y)| <= scale*exp(-decay_rate*y), which sets
+    the cutoff unless `cutoff` is given.  An array of decay rates (or of cutoffs)
+    makes a batch, one row (one integral) each, in one engine call.  g(y, rows)
+    maps an (r, n) array of y to the (r, n) array of values, `rows` holding the
+    batch indices of its r rows, as in `integrate_trapezoid`; a batch gives
+    arrays back.
     """
-    u_max = cutoff if cutoff is not None else eta_cosh_cutoff(tau, decay_rate, cfg, scale)
+    u_max = eta_cosh_cutoff(tau, decay_rate, cfg, scale) if cutoff is None else cutoff
 
-    def integrand(u):
-        return g(math.cosh(u)) * 2.0 * math.cosh(tau * u)
+    def integrand(u, rows):
+        return g(libm(math.cosh, u), rows) * 2.0 * libm(math.cosh, tau * u)
 
     result = integrate_trapezoid(integrand, u_max, cfg)
     result.truncation_point = u_max
@@ -321,39 +335,92 @@ def integrate_oscillatory_cos(
 TRAPEZOID_HALVINGS = 10   # 8 * 2^10 panels at most
 
 
-def integrate_trapezoid(f: Callable[[float], float], u_max: float,
-                        cfg: EvalConfig) -> QuadResult:
-    """int_0^u_max f(u) du for f even, analytic in a strip about the real axis and
-    negligible at u_max, by the composite trapezoid rule.  For such f the rule
-    converges exponentially in 1/step (Trefethen & Weideman, SIAM Review 56,
-    2014): the odd derivatives vanish at 0 and f is gone at u_max, so the
-    Euler-Maclaurin correction has no terms.
+def libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn (math.exp, math.cosh, ...) at every element of x: libm's values, which
+    do not depend on the CPU, where numpy's vectorized exp may differ in the last
+    bit from one instruction set to the next."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
-    The step starts at u_max/8 and is halved, each sum reusing every abscissa of
-    the one before, until two successive sums differ by at most
-    max(cfg.quad_abs_tol, cfg.quad_rel_tol |sum|); that difference is `err_est`.
-    Raises ConvergenceError (carrying the last QuadResult) when the sums have not
+
+def _eval_rows(f: Callable, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    fu = f(u, rows)
+    bad = ~np.isfinite(fu)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        x = float(u.flat[i])
+        raise EvaluationError(f"integrand returned {fu.flat[i]!r} at x={x!r}", abscissa=x)
+    return fu
+
+
+def _row_fsums(values: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(row) for row in values.tolist()])
+
+
+def integrate_trapezoid(f: Callable[[np.ndarray, np.ndarray], np.ndarray], u_max,
+                        cfg: EvalConfig) -> QuadResult:
+    """int_0^u_max_i f(u) du for a batch of rows i, each f even, analytic in a strip
+    about the real axis and negligible at u_max_i, by the composite trapezoid rule.
+    For such f the rule converges exponentially in 1/step (Trefethen & Weideman,
+    SIAM Review 56, 2014): the odd derivatives vanish at 0 and f is gone at
+    u_max_i, so the Euler-Maclaurin correction has no terms.
+
+    `u_max` is a float (one row) or a 1-d array of m cutoffs.  f(u, rows) maps an
+    (r, n) array of abscissae to the (r, n) array of values, where `rows` holds
+    the batch indices of u's r rows and row i of the batch lies on [0, u_max_i]:
+    one call values a whole level of every row still running.  Each row's step
+    starts at u_max_i/8 and is halved, each sum reusing every abscissa of the one
+    before, until two successive sums differ by at most max(cfg.quad_abs_tol,
+    cfg.quad_rel_tol |sum|); that level's sum is the row's `value`, the difference
+    its `err_est` and the level's point count its `evals`, and the row drops out of
+    the later levels.  Each level's new values are summed exactly (math.fsum) row
+    by row, so a row's bits do not depend on the batch it rides in.  A float u_max
+    gives a QuadResult of floats, an array one of arrays.
+
+    Raises ConvergenceError (carrying the rows' last sums) when some row has not
     settled after TRAPEZOID_HALVINGS halvings.
     """
-    if not u_max > 0.0:
+    one_row = np.ndim(u_max) == 0
+    u_max = np.atleast_1d(np.asarray(u_max, dtype=float))
+    if u_max.ndim != 1 or not u_max.size or not np.all(u_max > 0.0):
         raise ValueError(f"need u_max > 0, got {u_max!r}")
+    result = QuadResult(np.empty(len(u_max)), np.empty(len(u_max)),
+                        np.empty(len(u_max), dtype=int))
+    # the running rows: their batch indices, steps, end terms, inner sums, last sums
     n = 8
+    live = np.arange(len(u_max))
     h = u_max / n
-    inner = math.fsum(_eval(f, h * k) for k in range(1, n))
-    ends = 0.5 * (_eval(f, 0.0) + _eval(f, u_max))
+    fu = _eval_rows(f, h[:, None] * np.arange(n + 1), live)
+    ends = 0.5 * (fu[:, 0] + fu[:, n])
+    inner = _row_fsums(fu[:, 1:n])
     value = h * (ends + inner)
     for _ in range(TRAPEZOID_HALVINGS):
-        h *= 0.5
-        inner += math.fsum(_eval(f, h * k) for k in range(1, 2 * n, 2))
+        h = 0.5 * h
+        inner = inner + _row_fsums(_eval_rows(f, h[:, None] * np.arange(1, 2 * n, 2), live))
         n *= 2
-        previous, value = value, h * (ends + inner)
-        result = QuadResult(value, abs(value - previous), n + 1)
-        if result.err_est <= max(cfg.quad_abs_tol, cfg.quad_rel_tol * abs(value)):
-            return result
-    result.converged = False
-    raise ConvergenceError(
-        f"trapezoid sums on [0, {u_max}] unsettled after {TRAPEZOID_HALVINGS} halvings; "
-        f"last difference {result.err_est:.3e}", partial=result)
+        value, previous = h * (ends + inner), value
+        err = np.abs(value - previous)
+        done = err <= np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * np.abs(value))
+        if done.any():
+            settled = live[done]
+            result.value[settled], result.err_est[settled] = value[done], err[done]
+            result.evals[settled] = n + 1
+            keep = ~done
+            live, h, ends, inner, value, err = (a[keep] for a in (live, h, ends, inner, value, err))
+            if not live.size:
+                break
+    else:
+        result.value[live], result.err_est[live], result.evals[live] = value, err, n + 1
+        result.converged = False
+        message = (f"trapezoid sums on [0, {u_max.max()}] unsettled after "
+                   f"{TRAPEZOID_HALVINGS} halvings in {live.size} of {len(u_max)} rows; "
+                   f"last difference {err.max():.3e}")
+    if one_row:
+        result = QuadResult(float(result.value[0]), float(result.err_est[0]),
+                            int(result.evals[0]), converged=result.converged)
+    if not result.converged:
+        raise ConvergenceError(message, partial=result)
+    return result
 
 
 # ---------------------------------------------------------------------------

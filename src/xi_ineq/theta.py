@@ -20,7 +20,10 @@ calls of a cross-check run) and J_tau's never do, so a table would cost
 memory for little or no reuse.
 
 Also here: the double series J_tau and its derivatives (divisor-sum accelerated),
-the weight eta_tau, and the sup-constants used in the tail bounds.
+at a float or over a whole array of arguments in one call (the J table's nodes
+ask for a trapezoid level of all 128 rows at once) with libm's exp, so that each
+element has the bits of its float call on every CPU; the weight eta_tau; and the
+sup-constants used in the tail bounds.
 """
 
 from __future__ import annotations
@@ -28,8 +31,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DomainError
+from .quadrature import libm
 
 _EXP_UNDERFLOW = 745.0  # exp(-746) underflows to 0 in binary64
 _MIN_TERMS = 6
@@ -169,9 +175,10 @@ def _j_table(tau: float, deriv: int) -> list:
     return _j_block(tau, deriv, 0, _J_FIRST_TERMS)
 
 
-def J_tau(tau: float, y: float, deriv: int = 0,
-          cfg: EvalConfig = DEFAULT_CONFIG, naive: bool = False) -> float:
-    """deriv-th derivative of J_tau(y) = sum_{m,n} (n/m)^tau exp(-2 pi m n y).
+def J_tau(tau: float, y, deriv: int = 0,
+          cfg: EvalConfig = DEFAULT_CONFIG, naive: bool = False):
+    """deriv-th derivative of J_tau(y) = sum_{m,n} (n/m)^tau exp(-2 pi m n y), at a
+    float y (a float back) or at every element of an array y (an array back).
 
     Default path collapses the double sum over the product k = m*n:
 
@@ -180,11 +187,14 @@ def J_tau(tau: float, y: float, deriv: int = 0,
     so each y-derivative just brings down (-2 pi k)^deriv.  The constants
     2 pi k and sigma_{2tau}(k) k^{-tau} (-2 pi k)^deriv come from a table kept
     per (tau, deriv), and past its first terms from a block formed on the call;
-    each term is their product with exp(-2 pi k y), the value the
-    factor-by-factor product gives.  `naive=True` keeps the raw double sum
-    (test oracle; both indices capped by series_max_terms).
+    each term is their product with libm's exp(-2 pi k y), the value the
+    factor-by-factor product gives.  Every element stops on its own (at least
+    6 terms, then |term| <= series_tol |total|), so its bits are those of the
+    float call whatever array it rides in.  `naive=True` keeps the raw double
+    sum at a float y (test oracle; both indices capped by series_max_terms).
     """
-    if not y > 0.0:
+    ys = np.asarray(y, dtype=float)
+    if not np.all(ys > 0.0):
         raise DomainError(f"J_tau needs y > 0, got {y!r}")
     if deriv not in (0, 1, 2, 3):
         raise DomainError(f"deriv must be in 0..3, got {deriv!r}")
@@ -209,19 +219,30 @@ def J_tau(tau: float, y: float, deriv: int = 0,
     block = _j_table(tau, deriv)
     if len(block) > cap:
         block = block[:cap]
-    total = 0.0
+    y_live = ys.ravel()
+    live = np.arange(ys.size)            # the elements whose sums go on
+    total = np.zeros(ys.size)
+    acc = total.copy()                   # their running sums
     k = 0
-    while True:
+    while live.size:
         for rate, coef in block:
             k += 1
-            a = rate * y
-            term = 0.0 if a > _EXP_UNDERFLOW else coef * math.exp(-a)
-            total += term
-            if k >= _MIN_TERMS and abs(term) <= tol * abs(total):
-                return total
-        if k >= cap:
-            raise ConvergenceError(f"series cap {cap} reached", partial=total)
-        block = _j_block(tau, deriv, k, min(2 * k, cap))
+            a = rate * y_live
+            term = np.where(a > _EXP_UNDERFLOW, 0.0, coef * libm(math.exp, -a))
+            acc += term
+            if k >= _MIN_TERMS:
+                done = np.abs(term) <= tol * np.abs(acc)
+                total[live[done]] = acc[done]
+                live, y_live, acc = live[~done], y_live[~done], acc[~done]
+                if not live.size:
+                    break
+        else:
+            if k >= cap:
+                total[live] = acc
+                partial = float(total[0]) if ys.ndim == 0 else total.reshape(ys.shape)
+                raise ConvergenceError(f"series cap {cap} reached", partial=partial)
+            block = _j_block(tau, deriv, k, min(2 * k, cap))
+    return float(total[0]) if ys.ndim == 0 else total.reshape(ys.shape)
 
 
 def eta_tau(tau: float, y: float) -> float:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import xi_ineq
@@ -266,7 +267,7 @@ class TestCommands:
         code, out = run_cli(capsys, "constants", "--sigma", "8", "--method", method)
         assert code == 0
         row = next(r for r in json.loads(out)["outputs"]["rows"] if r["method"] == "B_series")
-        assert (row["S"], row["T"]) == (-51.61787530813476, -1.8024837230142985)
+        assert (row["S"], row["T"]) == (-51.61787530813468, -1.8024837230142985)
         assert _w_table.cache_info().misses == 0
 
     def test_montecarlo_computes_each_transform_once(self, capsys, monkeypatch):
@@ -324,7 +325,7 @@ class TestCommands:
         bad_node = float(modulus._X[8])
 
         def off(sigma, x, cfg=DEFAULT_CONFIG):
-            return calH(sigma, x, cfg) + (1e-7 if x == bad_node else 0.0)
+            return calH(sigma, x, cfg) + np.where(x == bad_node, 1e-7, 0.0)
 
         monkeypatch.setattr(modulus, "calH", off)
         _w_table.cache_clear()
@@ -332,6 +333,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "certification" in err
+
+    @pytest.mark.parametrize("command", ["scan", "autocorr"])
+    def test_grid_past_the_cap_is_usage_error(self, capsys, command):
+        # --step 1e-9 asks for 2e9 points: one line on stderr, exit 3, no scan
+        code = main([command, "--t-max", "2", "--step", "1e-9"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "more than 1000000 points" in err
 
     def test_autocorr_range_with_no_grid_point_is_usage_error(self, capsys):
         # t = 0.5 is past t_max = 0.3: no point of the zero scan's grid

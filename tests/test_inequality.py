@@ -8,9 +8,9 @@ from scipy.stats import kstest
 from conftest import w_moment_reference, xi_mod_sq_reference
 from xi_ineq import inequality, modulus
 from xi_ineq.errors import ConvergenceError, DomainError
-from xi_ineq.inequality import (_W_CUT, XSigmaSampler, _w_table,
+from xi_ineq.inequality import (_W_CUT, MAX_GRID_POINTS, XSigmaSampler, _w_table,
                                 autocorrelation_A, bisect_zero,
-                                check_poly_min_criterion, K_fourier, K_sigma,
+                                check_poly_min_criterion, grid_indices, K_fourier, K_sigma,
                                 lemb_moment_bound, mc_check, mm_bound,
                                 orthogonalization_scan, poly_approx_V,
                                 scan_for_zero, scan_inequality,
@@ -41,6 +41,24 @@ class TestScan:
     def test_domain(self, cfg):
         with pytest.raises(DomainError):
             scan_inequality(0.3, 1.0, 0.5, "representation", cfg)
+
+    @pytest.mark.parametrize("step", [1e-9, 1e-300])
+    def test_grid_past_the_cap_is_rejected_before_allocation(self, cfg, step):
+        # t_max / step = 2e9 (and an overflow to inf) points: rejected with no
+        # list built and no value computed
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="more than 1000000 points"):
+                scan_inequality(0.75, 2.0, step, "representation", cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_grid_at_the_cap_is_accepted(self):
+        assert len(grid_indices(0.0, 1.0, 1.0 / (MAX_GRID_POINTS - 1), "scan")) == MAX_GRID_POINTS
+        with pytest.raises(DomainError, match="more than"):
+            grid_indices(0.0, 1.0, 1.0 / (MAX_GRID_POINTS + 1), "scan")
 
 
 class TestPolyApprox:
@@ -190,23 +208,19 @@ class TestSampler:
         assert _w_table.cache_info().misses == 1
 
     def test_w_table_evaluates_hcal_at_most_121_times(self, cfg, monkeypatch):
-        # 64 Chebyshev nodes plus 57 certification probes, each one Hcal value (a
-        # Gcal call at e^x != 1); S and T add route B's four Gcal derivatives at 1
-        calls = []
-        calG = modulus.calG
-
-        def counted(*args, **kwargs):
-            calls.append((args, kwargs))
-            return calG(*args, **kwargs)
-
-        monkeypatch.setattr(modulus, "calG", counted)
+        # 64 Chebyshev nodes plus 57 certification probes, the rows of one Hcal
+        # call; S and T add route B's four Gcal derivatives at 1
+        hcal, gcal = [], []
+        for name, calls in (("calH", hcal), ("calG", gcal)):
+            def counted(*args, _f=getattr(modulus, name), _calls=calls, **kwargs):
+                _calls.append(args)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(modulus, name, counted)
         _w_table.cache_clear()
         _w_table(0.75, cfg)
-        hcal = [args for args, kwargs in calls if args[1] != 1.0]
-        route_b = [args for args, kwargs in calls if args[1] == 1.0]
-        assert all(args[2] == 0 for args in hcal)
-        assert 0 < len(hcal) <= 121
-        assert route_b == [(0.75, 1.0, d, cfg) for d in range(4)]
+        assert len(hcal) == 1 and 0 < np.size(hcal[0][1]) <= 121
+        assert (hcal[0][0], hcal[0][2]) == (0.75, cfg)   # Hcal is Gcal itself, no derivative
+        assert gcal == [(0.75, 1.0, d, cfg) for d in range(4)]
 
     def test_w_table_shared_whatever_the_call_form(self, cfg):
         _w_table.cache_clear()
@@ -434,6 +448,15 @@ class TestZeroLocalization:
         assert calls == []
         with pytest.raises(DomainError, match="no grid point"):
             orthogonalization_scan(0.75, 0.3, 0.5)
+
+    def test_scan_rejects_a_grid_past_the_cap(self):
+        # 2e9 grid points: rejected before f is called once
+        calls = []
+        with pytest.raises(DomainError, match="more than 1000000 points"):
+            scan_for_zero(calls.append, 1e-9, 2.0, 1e-9)
+        assert calls == []
+        with pytest.raises(DomainError, match="more than 1000000 points"):
+            orthogonalization_scan(0.75, 2.0, 1e-9)
 
     def test_noise_floor_suppresses_spurious_changes(self):
         wiggle = lambda t: 1e-14 * math.sin(50.0 * t) + 1e-16

@@ -7,7 +7,11 @@ any rounding fails here, however small the change.  The Gcal pins, the two
 J/eta masses, the W masses and the fixed-rule transform were re-recorded when
 Gcal and the eta-weighted integrals moved from adaptive Gauss-Kronrod to the
 trapezoid sum; every moved pin is within 8e-16 relative of its value from
-mpmath's Bessel-K.  The S/T pins are the
+mpmath's Bessel-K.  Gcal(1) at sigma 0.75, the W masses and the transform moved
+again when Gcal's product sum became a Horner polynomial in
+exp(-2 pi lam cosh u), one exp per abscissa: Gcal(1) by one ulp, to 3.2e-16
+relative of mpmath (1.5e-16 before), the transform at t = 5 to 4.5e-17
+(1.9e-16 before).  The S/T pins are the
 values of routes A and C (both modes) and of route B's fixed-truncation recipe
 as their integrals were first written out term by term, one route per
 function; sharing code between the routes must not move them.  The J/eta
@@ -65,7 +69,7 @@ BITS_THETA = {   # (function, y)
     ('theta_H', 1.6): '0x1.152be59fbc5d1p-3',
 }
 BITS_CALG = {   # (sigma, lam, deriv)
-    (0.75, 1.0, 0): '0x1.3fb640a67e3ebp-9',
+    (0.75, 1.0, 0): '0x1.3fb640a67e3ecp-9',
     (0.75, 1.0, 1): '-0x1.ce8e9cf981d56p-7',
     (0.75, 1.0, 2): '0x1.4a70d1de10b25p-4',
     (0.75, 1.0, 3): '-0x1.d105202446093p-2',
@@ -101,8 +105,8 @@ BITS_RULE = {   # SHA-256 of the arrays' bytes
     '_FEJER': 'de0ddbe8c5464f3f2559110c8578366574b8687b8690d65d5dc41e031e50201b',
     '_WEIGHTS_T': 'f94fea9449e66e2b09ed0e966fd0efad678675cfb3d0f6e533c203b597685507',
     '_BARY': 'fa3cfd8fab1b58146bd1eb575d7afe2932b9ff43233af7ff94caf0ba194e098b',
-    'w_table_masses_0.75': '8e224241a53b198b18ebeea971b5b035e283e8f1e679ca203a07b812bc61709e',
-    'w_cos_fixed_0.75_5': '0x1.843b0a168a05bp-12',
+    'w_table_masses_0.75': '6ff37319a76f9b54164f13522fb14f3fb2d0c13bf8676454b4cf6045a26a706e',
+    'w_cos_fixed_0.75_5': '0x1.843b0a168a05ap-12',
 }
 
 BITS_XI = {   # s: (Re xi(s), Im xi(s))

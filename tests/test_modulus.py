@@ -232,8 +232,9 @@ class TestWTable:
 
     def test_tables_run_no_adaptive_quadrature(self, cfg, monkeypatch):
         # every Gcal value and eta-weighted integral of the two tables is one
-        # trapezoid sum: W's 64 nodes, 57 probes and route B's four derivatives
-        # at 1; J's 128 nodes and the J/eta route's two integrals
+        # trapezoid row: W's 64 nodes and 57 probes are the rows of one engine
+        # call, and route B's four derivatives at 1 one call each; J's 128 nodes
+        # are one call, and the J/eta route's two integrals one call each
         calls = []
         for module in (modulus, quadrature):
             for name in ("integrate_finite", "integrate_trapezoid"):
@@ -243,17 +244,17 @@ class TestWTable:
                 monkeypatch.setattr(module, name, counted)
         _w_table.cache_clear()
         _w_table(0.75, cfg)
-        assert calls == ["integrate_trapezoid"] * (64 + 57 + 4)
+        assert calls == ["integrate_trapezoid"] * (1 + 4)
         calls.clear()
         _jeta_table.cache_clear()
         _jeta_table(0.25, cfg)
-        assert calls == ["integrate_trapezoid"] * (128 + 2)
+        assert calls == ["integrate_trapezoid"] * 3
 
     def test_certification_rejects_a_node_off_by_1e7(self, cfg, monkeypatch):
         bad_node = float(_X[8])
 
         def off(sigma, x, cfg=cfg):
-            return calH(sigma, x, cfg) + (1e-7 if x == bad_node else 0.0)
+            return calH(sigma, x, cfg) + np.where(x == bad_node, 1e-7, 0.0)
 
         monkeypatch.setattr(modulus, "calH", off)
         _w_table.cache_clear()
@@ -262,11 +263,11 @@ class TestWTable:
         assert exc.value.partial > 1e-8
 
     def test_certification_rejects_a_probe_off_by_1e7(self, cfg, monkeypatch):
-        # the probes are calH values like the nodes, one trapezoid sum each
+        # the probes are calH values like the nodes, rows of the same batch
         bad_probe = float(_PROBES[1])
 
         def off(sigma, x, cfg=cfg):
-            return calH(sigma, x, cfg) + (1e-7 if x == bad_probe else 0.0)
+            return calH(sigma, x, cfg) + np.where(x == bad_probe, 1e-7, 0.0)
 
         monkeypatch.setattr(modulus, "calH", off)
         _w_table.cache_clear()
@@ -274,19 +275,61 @@ class TestWTable:
             _w_table(0.75, cfg)
         assert exc.value.partial > 1e-8
 
-    def test_nodes_and_probes_are_one_calH_call_each(self, cfg, monkeypatch):
+    def test_nodes_and_probes_are_one_calH_call(self, cfg, monkeypatch):
         calls = []
         for name in ("calH", "calG", "integrate_trapezoid"):
             def counted(*args, _name=name, _f=getattr(modulus, name), **kwargs):
-                calls.append(_name)
+                calls.append((_name, np.size(args[1])))
                 return _f(*args, **kwargs)
             monkeypatch.setattr(modulus, name, counted)
         _w_table.cache_clear()
         _w_table(0.75, cfg)
-        assert calls.count("calH") == len(_X) + len(_PROBES) == 64 + 57
-        assert calls.count("calG") == 64 + 57 + 4          # route B's derivatives at 1
-        assert calls.count("integrate_trapezoid") == 64 + 57 + 4   # one sum a Gcal value
-        assert len(calls) == 3 * (64 + 57) + 2 * 4
+        # one calH call with the 121 points as rows, and one engine call under it
+        # (its second argument, u_max, has one entry a row); route B's four
+        # derivatives at 1 are one-row calG calls, one engine call each
+        assert len(_X) + len(_PROBES) == 64 + 57
+        assert calls.count(("calH", 64 + 57)) == 1
+        assert calls.count(("calG", 1)) == 4
+        assert calls.count(("integrate_trapezoid", 64 + 57)) == 1
+        assert calls.count(("integrate_trapezoid", 1)) == 4
+        assert len(calls) == 1 + 4 + 1 + 4
+
+    def test_rows_equal_one_row_hcal_calls(self, cfg):
+        # the batched call gives each node and probe the bits of its own call
+        points = np.concatenate([_X, _PROBES])
+        batch = calH(0.75, points, cfg)
+        assert batch.tolist() == [calH(0.75, float(x), cfg) for x in points]
+        pref = 2.0 ** (0.75 + 1.5) / math.pi
+        assert np.array_equal(_w_table(0.75, cfg).values, pref * batch[:len(_X)])
+        assert calG(0.75, np.array([1.0, 120.0, 2.5]), 0, cfg).tolist() == [
+            calG(0.75, 1.0, 0, cfg), 0.0, calG(0.75, 2.5, 0, cfg)]   # 2 pi 120 underflows
+
+    def test_tables_make_a_handful_of_integrand_calls(self, cfg, monkeypatch):
+        # one Python-level integrand call per level of a batch: the 121 W rows
+        # settle at 33 points (levels of 9, 8 and 16 new points), route B's four
+        # one-row sums likewise; the J nodes settle at 17 or 33 points, lin and
+        # cub at 33.  One value a call made 4,125 and 2,642 integrand calls.
+        calls = []
+        engine = quadrature.integrate_trapezoid
+
+        def counted(f, u_max, cfg):
+            def f_counted(u, rows):
+                calls[-1][1] += 1
+                calls[-1][2] += u.size
+                return f(u, rows)
+            calls.append([np.size(u_max), 0, 0])
+            return engine(f_counted, u_max, cfg)
+
+        monkeypatch.setattr(modulus, "integrate_trapezoid", counted)
+        monkeypatch.setattr(quadrature, "integrate_trapezoid", counted)
+        _w_table.cache_clear()
+        _w_table(0.75, cfg)
+        assert calls == [[121, 3, 121 * 33]] + [[1, 3, 33]] * 4
+        calls.clear()
+        _jeta_table.cache_clear()
+        _jeta_table(0.25, cfg)
+        assert [c[:2] for c in calls] == [[128, 3], [1, 3], [1, 3]]
+        assert sum(c[2] for c in calls) == 2642
 
     def test_route_b_record_is_the_whole_report(self, cfg):
         _w_table.cache_clear()

@@ -5,12 +5,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from xi_ineq.config import EvalConfig
+from xi_ineq.config import DEFAULT_CONFIG, EvalConfig, config_cache, config_from_mapping
 from xi_ineq.errors import ConvergenceError, EvaluationError
 from xi_ineq.quadrature import (TRAPEZOID_HALVINGS, NeumaierSum, barycentric,
-                                chebyshev_fejer, integrate_eta_weighted, integrate_finite,
-                                integrate_oscillatory_cos, integrate_semi_infinite,
-                                integrate_trapezoid)
+                                chebyshev_fejer, eta_cosh_cutoff, integrate_eta_weighted,
+                                integrate_finite, integrate_oscillatory_cos,
+                                integrate_semi_infinite, integrate_trapezoid, libm)
 
 
 class TestFinite:
@@ -94,7 +94,7 @@ class TestEtaWeighted:
         # eta_0(y) = 2/sqrt(y^2-1); the naive epsilon-offset route walks
         # geometric rings toward the singular edge and misses
         # ~ 2 e^{-2 pi} sqrt(2 eps) of mass, which bounds the comparison
-        r = integrate_eta_weighted(lambda y: math.exp(-2.0 * math.pi * y), 0.0, cfg)
+        r = integrate_eta_weighted(lambda y, rows: np.exp(-2.0 * math.pi * y), 0.0, cfg)
         f = lambda y: math.exp(-2.0 * math.pi * y) * 2.0 / math.sqrt(y * y - 1.0)
         eps = 1e-12
         edges = [1.0 + eps * 10.0 ** k for k in range(13)] + [5.0]
@@ -106,18 +106,24 @@ class TestEtaWeighted:
 
     def test_windowed_closed_form(self, cfg):
         # int_1^2 eta_0(y) dy = 2 arccosh(2)
-        r = integrate_eta_weighted(lambda y: 1.0 if y <= 2.0 else 0.0, 0.0, cfg,
+        r = integrate_eta_weighted(lambda y, rows: np.where(y <= 2.0, 1.0, 0.0), 0.0, cfg,
                                    cutoff=math.acosh(2.0))
         assert abs(r.value - 2.0 * math.acosh(2.0)) < 1e-12
 
     def test_linearity(self, cfg):
-        g = lambda y: math.exp(-3.0 * y)
+        g = lambda y, rows: np.exp(-3.0 * y)
         one = integrate_eta_weighted(g, 0.25, cfg, decay_rate=3.0)
-        five = integrate_eta_weighted(lambda y: 5.0 * g(y), 0.25, cfg, decay_rate=3.0)
+        five = integrate_eta_weighted(lambda y, rows: 5.0 * g(y, rows), 0.25, cfg,
+                                      decay_rate=3.0)
         assert abs(five.value - 5.0 * one.value) <= 1e-13 * abs(five.value) + 1e-15
 
+    def test_cutoffs_of_an_array_equal_the_float_calls(self, cfg):
+        rates = np.array([1e-3, 1.0, 2.0 * math.pi, 70.0])
+        assert eta_cosh_cutoff(0.25, rates, cfg, 30.0).tolist() == [
+            eta_cosh_cutoff(0.25, r, cfg, 30.0) for r in rates.tolist()]
+
     def test_symmetry_in_tau(self, cfg):
-        g = lambda y: math.exp(-2.0 * y)
+        g = lambda y, rows: np.exp(-2.0 * y)
         plus = integrate_eta_weighted(g, 0.3, cfg, decay_rate=2.0)
         minus = integrate_eta_weighted(g, -0.3, cfg, decay_rate=2.0)
         assert abs(plus.value - minus.value) <= 1e-13 * abs(plus.value)
@@ -164,7 +170,7 @@ class TestTrapezoid:
         # int_0^inf e^{-z cosh u} cosh(nu u) du = K_nu(z); the integrand is
         # below e^{-40} of its peak past u_max
         u_max = math.acosh(1.0 + 40.0 / z)
-        r = integrate_trapezoid(lambda u: math.exp(-z * math.cosh(u)) * math.cosh(nu * u),
+        r = integrate_trapezoid(lambda u, rows: np.exp(-z * np.cosh(u)) * np.cosh(nu * u),
                                 u_max, cfg)
         want = float(mp.besselk(nu, z))
         assert abs(r.value - want) <= 1e-14 * want
@@ -173,9 +179,9 @@ class TestTrapezoid:
     def test_halvings_reuse_every_abscissa(self, cfg):
         xs = []
 
-        def f(u):
-            xs.append(u)
-            return math.exp(-math.cosh(u))
+        def f(u, rows):
+            xs.extend(u.ravel().tolist())
+            return np.exp(-np.cosh(u))
 
         r = integrate_trapezoid(f, math.acosh(41.0), cfg)
         assert len(xs) == len(set(xs)) == r.evals
@@ -184,7 +190,7 @@ class TestTrapezoid:
     def test_unsettled_sums_raise(self, cfg):
         # sqrt|u| is even but not analytic at 0: the sums converge like step^1.5
         with pytest.raises(ConvergenceError, match="unsettled") as exc:
-            integrate_trapezoid(lambda u: math.sqrt(abs(u)), 1.0, cfg)
+            integrate_trapezoid(lambda u, rows: np.sqrt(np.abs(u)), 1.0, cfg)
         partial = exc.value.partial
         assert not partial.converged
         assert partial.evals == 8 * 2 ** TRAPEZOID_HALVINGS + 1
@@ -194,12 +200,85 @@ class TestTrapezoid:
         with pytest.raises(ValueError):
             integrate_trapezoid(math.exp, 0.0, cfg)
 
+    def test_batch_rows_keep_their_one_row_bits(self, cfg):
+        # rows of K_nu(z) at different z settle at different levels; each row's
+        # value, difference and count are those of its one-row call
+        z = np.array([0.4, 1.0, 2.5, 30.0])
+        u_max = np.arccosh(1.0 + 40.0 / z)
+
+        def f(u, rows):
+            return libm(math.exp, -z[rows, None] * libm(math.cosh, u)) * libm(math.cosh, 0.25 * u)
+
+        batch = integrate_trapezoid(f, u_max, cfg)
+        assert len(set(batch.evals.tolist())) > 1
+        for i in range(len(z)):
+            one = integrate_trapezoid(lambda u, rows: f(u, rows + i), float(u_max[i]), cfg)
+            assert (batch.value[i], batch.err_est[i], batch.evals[i]) == (
+                one.value, one.err_est, one.evals)
+            assert abs(one.value - float(mp.besselk(0.25, z[i]))) <= 1e-14 * one.value
+
+    def test_settled_rows_drop_out(self, cfg):
+        seen = []
+
+        def f(u, rows):
+            seen.append(rows.tolist())
+            return np.exp(-np.array([1.0, 30.0])[rows, None] * np.cosh(u))
+
+        r = integrate_trapezoid(f, np.array([4.0, 1.0]), cfg)
+        assert r.evals.tolist() == [33, 17]
+        assert seen == [[0, 1], [0, 1], [0]]
+
+    def test_one_unsettled_row_raises_with_every_rows_partial(self, cfg):
+        # row 0 is analytic and settles; row 1 is sqrt|u|, which does not
+        def f(u, rows):
+            return np.where(rows[:, None] == 0, np.exp(-np.cosh(u)), np.sqrt(np.abs(u)))
+
+        with pytest.raises(ConvergenceError, match="1 of 2 rows") as exc:
+            integrate_trapezoid(f, np.array([math.acosh(41.0), 1.0]), cfg)
+        partial = exc.value.partial
+        assert not partial.converged
+        assert partial.value[0] == integrate_trapezoid(f, math.acosh(41.0), cfg).value
+        assert partial.evals[1] == 8 * 2 ** TRAPEZOID_HALVINGS + 1
+        assert abs(partial.value[1] - 2.0 / 3.0) < 1e-5
+
+    def test_nonfinite_value_reports_abscissa(self, cfg):
+        with pytest.raises(EvaluationError) as err:
+            integrate_trapezoid(lambda u, rows: np.where(u > 0.5, np.nan, 1.0), 1.0, cfg)
+        assert 0.5 < err.value.abscissa <= 1.0
+
+    def test_libm_is_maths_value_elementwise(self):
+        x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        for fn in (math.exp, math.cosh):
+            got = libm(fn, x)
+            assert got.shape == x.shape
+            assert got.ravel().tolist() == [fn(v) for v in x.ravel().tolist()]
+
 
 def test_neumaier_compensation():
     acc = NeumaierSum()
     for x in [1e16, 1.0, -1e16, 1.0]:
         acc.add(x)
     assert acc.value == 2.0
+
+
+def test_equal_configs_hash_equal_and_share_cache_entries():
+    built = [EvalConfig(), DEFAULT_CONFIG, replace(DEFAULT_CONFIG, quad_abs_tol=1e-13),
+             config_from_mapping({"quad_abs_tol": "1e-13", "series_max_terms": "100000"})]
+    assert all(c == DEFAULT_CONFIG and hash(c) == hash(DEFAULT_CONFIG) for c in built)
+    other = replace(DEFAULT_CONFIG, quad_abs_tol=1e-12)
+    assert other != DEFAULT_CONFIG and replace(other, quad_abs_tol=1e-13) == DEFAULT_CONFIG
+
+    @config_cache(maxsize=8)
+    def keyed(x, cfg=DEFAULT_CONFIG):
+        return x
+
+    for c in built:
+        keyed(1.0)
+        keyed(1.0, c)
+        keyed(x=1.0, cfg=c)
+    keyed(1.0, other)
+    # twelve lookups of one key (one miss) and one of another
+    assert (keyed.cache_info().hits, keyed.cache_info().misses) == (11, 2)
 
 
 def test_config_validation():

@@ -1,6 +1,7 @@
 import importlib
 import math
 
+import numpy as np
 import pytest
 
 from xi_ineq import theta
@@ -158,6 +159,27 @@ class TestJTau:
         fd = (J_tau(tau, y + h, deriv - 1, cfg) - J_tau(tau, y - h, deriv - 1, cfg)) / (2 * h)
         exact = J_tau(tau, y, deriv, cfg)
         assert abs(exact - fd) <= 1e-7 * abs(exact) + 1e2 * h * h * abs(exact)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.49])
+    @pytest.mark.parametrize("deriv", [0, 1, 2, 3])
+    def test_array_call_equals_naive(self, cfg, tau, deriv):
+        ys = np.array([1.0, 1.5, 3.0])
+        fast = J_tau(tau, ys, deriv, cfg)
+        slow = np.array([J_tau(tau, y, deriv, cfg, naive=True) for y in ys])
+        assert np.all(np.abs(fast - slow) <= 1e-12 * np.maximum(np.abs(fast), 1e-300))
+
+    def test_array_call_keeps_each_elements_bits(self, cfg):
+        # elements stop after different numbers of terms (0.01 runs past the
+        # first table block, 200 underflows at once); each keeps its float bits
+        ys = np.array([[0.01, 1.0, 3.0], [200.0, 0.3, 1.7]])
+        for deriv in range(4):
+            got = J_tau(0.25, ys, deriv, cfg)
+            assert got.shape == ys.shape
+            assert got.ravel().tolist() == [J_tau(0.25, y, deriv, cfg) for y in ys.ravel().tolist()]
+
+    def test_array_domain(self, cfg):
+        with pytest.raises(DomainError):
+            J_tau(0.25, np.array([1.0, 0.0]), 0, cfg)
 
     def test_tau_symmetry_at_zero(self, cfg):
         assert J_tau(0.0, 1.5, 0, cfg) == J_tau(-0.0, 1.5, 0, cfg)
