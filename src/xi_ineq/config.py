@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class EvalConfig:
                 raise ValueError(f"{name} must be >= 1")
         # every cached series value is keyed on (y, cfg): hash the fields once,
         # not on each lookup; equality stays the dataclass's, field by field
-        object.__setattr__(self, "_hash", hash(astuple(self)))
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
 
     def __hash__(self) -> int:
         return self._hash
