@@ -37,8 +37,9 @@ alone, and the route's two t-independent integrals.  Every Gcal value and
 eta-weighted integral is one row of a trapezoid sum in u, and each table values
 its nodes in one batched engine call (the W table's 64 nodes and 57 probes are
 one `calH` call, the J table's 128 nodes one `integrate_eta_weighted` call), so
-neither table runs the adaptive engine or loops over nodes in Python; the adaptive `w_cos_transform`, which calls `calH`
-one abscissa at a time, stays as the cross-check of both.
+neither table runs the adaptive engine or loops over nodes in Python; the
+adaptive `w_cos_transform`, which calls `calH` one abscissa at a time, stays as
+the cross-check of both.
 """
 
 from __future__ import annotations
