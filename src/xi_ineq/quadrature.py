@@ -75,7 +75,7 @@ _WG = (
 @dataclass
 class QuadResult:
     """One integral's result, or a batch's: a batched `integrate_trapezoid` gives
-    value, err_est and evals as arrays with one entry a row."""
+    value and err_est as arrays with one entry a row, and evals for all rows."""
     value: float
     err_est: float
     evals: int
@@ -343,16 +343,6 @@ def libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _eval_rows(f: Callable, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    fu = f(u, rows)
-    bad = ~np.isfinite(fu)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        x = float(u.flat[i])
-        raise EvaluationError(f"integrand returned {fu.flat[i]!r} at x={x!r}", abscissa=x)
-    return fu
-
-
 def _row_fsums(values: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in values.tolist()])
 
@@ -371,11 +361,12 @@ def integrate_trapezoid(f: Callable[[np.ndarray, np.ndarray], np.ndarray], u_max
     one call values a whole level of every row still running.  Each row's step
     starts at u_max_i/8 and is halved, each sum reusing every abscissa of the one
     before, until two successive sums differ by at most max(cfg.quad_abs_tol,
-    cfg.quad_rel_tol |sum|); that level's sum is the row's `value`, the difference
-    its `err_est` and the level's point count its `evals`, and the row drops out of
-    the later levels.  Each level's new values are summed exactly (math.fsum) row
-    by row, so a row's bits do not depend on the batch it rides in.  A float u_max
-    gives a QuadResult of floats, an array one of arrays.
+    cfg.quad_rel_tol |sum|); that level's sum is the row's `value` and the
+    difference its `err_est`, and the row drops out of the later levels.  Each
+    level's new values are summed exactly (math.fsum) row by row, so a row's bits
+    do not depend on the batch it rides in.  A float u_max gives a value and an
+    err_est that are floats, an array gives arrays; `evals` counts the integrand
+    values of all rows.
 
     Raises ConvergenceError (carrying the rows' last sums) when some row has not
     settled after TRAPEZOID_HALVINGS halvings.
@@ -384,19 +375,29 @@ def integrate_trapezoid(f: Callable[[np.ndarray, np.ndarray], np.ndarray], u_max
     u_max = np.atleast_1d(np.asarray(u_max, dtype=float))
     if u_max.ndim != 1 or not u_max.size or not np.all(u_max > 0.0):
         raise ValueError(f"need u_max > 0, got {u_max!r}")
-    result = QuadResult(np.empty(len(u_max)), np.empty(len(u_max)),
-                        np.empty(len(u_max), dtype=int))
+    result = QuadResult(np.empty(len(u_max)), np.empty(len(u_max)), 0)
+
+    def level(u, rows):
+        fu = f(u, rows)
+        bad = ~np.isfinite(fu)
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            x = float(u.flat[i])
+            raise EvaluationError(f"integrand returned {fu.flat[i]!r} at x={x!r}", abscissa=x)
+        result.evals += u.size
+        return fu
+
     # the running rows: their batch indices, steps, end terms, inner sums, last sums
     n = 8
     live = np.arange(len(u_max))
     h = u_max / n
-    fu = _eval_rows(f, h[:, None] * np.arange(n + 1), live)
+    fu = level(h[:, None] * np.arange(n + 1), live)
     ends = 0.5 * (fu[:, 0] + fu[:, n])
     inner = _row_fsums(fu[:, 1:n])
     value = h * (ends + inner)
     for _ in range(TRAPEZOID_HALVINGS):
         h = 0.5 * h
-        inner = inner + _row_fsums(_eval_rows(f, h[:, None] * np.arange(1, 2 * n, 2), live))
+        inner = inner + _row_fsums(level(h[:, None] * np.arange(1, 2 * n, 2), live))
         n *= 2
         value, previous = h * (ends + inner), value
         err = np.abs(value - previous)
@@ -404,20 +405,18 @@ def integrate_trapezoid(f: Callable[[np.ndarray, np.ndarray], np.ndarray], u_max
         if done.any():
             settled = live[done]
             result.value[settled], result.err_est[settled] = value[done], err[done]
-            result.evals[settled] = n + 1
             keep = ~done
             live, h, ends, inner, value, err = (a[keep] for a in (live, h, ends, inner, value, err))
             if not live.size:
                 break
     else:
-        result.value[live], result.err_est[live], result.evals[live] = value, err, n + 1
+        result.value[live], result.err_est[live] = value, err
         result.converged = False
         message = (f"trapezoid sums on [0, {u_max.max()}] unsettled after "
                    f"{TRAPEZOID_HALVINGS} halvings in {live.size} of {len(u_max)} rows; "
                    f"last difference {err.max():.3e}")
     if one_row:
-        result = QuadResult(float(result.value[0]), float(result.err_est[0]),
-                            int(result.evals[0]), converged=result.converged)
+        result.value, result.err_est = float(result.value[0]), float(result.err_est[0])
     if not result.converged:
         raise ConvergenceError(message, partial=result)
     return result
