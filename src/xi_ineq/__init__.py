@@ -13,8 +13,7 @@ from .modulus import (ConstantsReport, PowerSeriesCoeffs, F_sigma, S_T_constants
                       W_sigma, a_coeff, c_coeff, calG, calH, calH_derivs_at_0,
                       constants, modulus_rhs, modulus_rhs_via_J,
                       power_series_coeffs, w_cos_fixed, w_cos_transform)
-from .quadrature import (QuadResult, integrate_eta_weighted, integrate_finite,
-                         integrate_oscillatory_cos, integrate_semi_infinite)
+from .quadrature import QuadResult, integrate_eta_weighted, integrate_finite
 from .theta import (J_tau, divisor_sigma, eta_tau, stable_combo_A,
                     stable_combo_B, sup_constant_C, sup_constant_Cn, theta_G,
                     theta_H, theta_R, theta_R_prime)

@@ -35,7 +35,7 @@ from .inequality import (autocorrelation_A, grid_indices, mc_check, mm_bound,
 from .modulus import (S_T_constants, a_coeff, modulus_rhs, modulus_rhs_via_J,
                       power_series_coeffs)
 from .theta import J_tau, theta_G, theta_H
-from .quadrature import integrate_finite, integrate_oscillatory_cos
+from .quadrature import integrate_finite
 from .xi import xi, xi_mod_sq, xi_mod_sq_via_U, xi_real
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_NUMERIC, _EXIT_USAGE = 0, 1, 2, 3
@@ -362,7 +362,10 @@ def cmd_selftest(args, cfg: EvalConfig) -> int:
     check("quad_poly", abs(r.value - 1.0 / 3.0) < 1e-13, r.value)
     r = integrate_finite(math.sin, 0.0, math.pi, cfg)
     check("quad_sin", abs(r.value - 2.0) < 1e-12, r.value)
-    r = integrate_oscillatory_cos(lambda x: math.exp(-x), 3.0, 0.0, 1.0, cfg)
+    # int_0^inf e^{-x} cos 3x dx, in panels no wider than a half period
+    x_max = cfg.truncation_point(1.0)
+    r = integrate_finite(lambda x: math.exp(-x) * math.cos(3.0 * x), 0.0, x_max, cfg,
+                         min_panels=math.ceil(3.0 * x_max / math.pi))
     check("quad_osc", abs(r.value - 0.1) < 1e-11, r.value)
 
     for y in (0.3, 2.0):

@@ -37,6 +37,9 @@ from .theta import sup_constant_C, sup_constant_Cn
 
 
 MAX_GRID_POINTS = 10 ** 6   # a t-grid past this is a mistyped step, not a scan
+# a draw past this is a mistyped count: it would hold 8 bytes a sample at once, and
+# t = 10 needs only about 2e7 draws to certify at sigma 0.75
+MAX_SAMPLES = 10 ** 8
 
 
 def grid_indices(t_lo: float, t_max: float, step: float, what: str) -> range:
@@ -353,9 +356,12 @@ def mc_check(sigma: float, ts, n_samples: int, seed: int,
              cfg: EvalConfig = DEFAULT_CONFIG) -> list:
     """Monte-Carlo estimates of E[cos(t X_sigma)] with their quadrature twins, one
     MCReport per t of the sequence `ts`: one sampler and one draw of n_samples
-    serve every t."""
+    serve every t.  DomainError, before the sampler is built, unless
+    1000 <= n_samples <= MAX_SAMPLES."""
     if n_samples < 1000:
         raise DomainError(f"Monte-Carlo needs n_samples >= 1000, got {n_samples!r}")
+    if n_samples > MAX_SAMPLES:
+        raise DomainError(f"Monte-Carlo takes at most {MAX_SAMPLES} samples, got {n_samples!r}")
     if not 0 <= seed < 2 ** 128:
         raise DomainError(f"Monte-Carlo needs a seed in [0, 2**128), got {seed!r}")
     xs, acc_rate = XSigmaSampler(sigma, cfg).sample(n_samples, seed)

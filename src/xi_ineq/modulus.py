@@ -53,8 +53,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError
 from .quadrature import (barycentric, chebyshev_fejer, integrate_eta_weighted,
-                         integrate_finite, integrate_oscillatory_cos,
-                         integrate_semi_infinite, integrate_trapezoid, libm)
+                         integrate_finite, integrate_trapezoid, libm)
 from .theta import (J_tau, divisor_sigma, stable_combo_A, stable_combo_B,
                     theta_R, theta_R_prime, theta_R_prime_truncated,
                     theta_R_truncated)
@@ -382,13 +381,14 @@ def _w_exp_cutoff(cfg: EvalConfig) -> float:
 def w_cos_transform(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """int_0^inf W_sigma(x) e^{-sigma x} cos(tx) dx, adaptively through the closed
     form (the integrand is 2^{sigma+3/2} pi^{-1} Hcal_sigma(x), each value a
-    relative-target `calH`): the independent cross-check of `w_cos_fixed`, which
+    relative-target `calH`) on [0, _w_exp_cutoff], presplit so that no panel is
+    wider than a half period: the independent cross-check of `w_cos_fixed`, which
     the library itself reads."""
     pref = 2.0 ** (sigma + 1.5) / math.pi
-    result = integrate_oscillatory_cos(
-        lambda x: pref * calH(sigma, x, cfg), t, 0.0,
-        decay_rate=2.0 * math.pi, cfg=cfg, cutoff=_w_exp_cutoff(cfg))
-    return result.value
+    x_max = _w_exp_cutoff(cfg)
+    return integrate_finite(lambda x: pref * calH(sigma, x, cfg) * math.cos(t * x),
+                            0.0, x_max, cfg,
+                            min_panels=max(1, math.ceil(x_max * abs(t) / math.pi))).value
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +400,13 @@ _R_SCALE = 300.0             # safe envelope for the R'^2-type integrands
 
 
 def _r_quad(cfg: EvalConfig, errs: list, lo: float, hi: float = None):
-    """Integration of the R-integrands over (lo, hi), or from lo upwards at R's
-    decay when hi is None: the value alone, with its err_est appended to `errs`."""
+    """Integration of the R-integrands over (lo, hi), or from lo up to R's
+    truncation point when hi is None: the value alone, with its err_est appended
+    to `errs`."""
+    hi = cfg.truncation_point(_R_DECAY, _R_SCALE) if hi is None else hi
+
     def value(f):
-        if hi is None:
-            r = integrate_semi_infinite(f, lo, _R_DECAY, cfg, scale=_R_SCALE)
-        else:
-            r = integrate_finite(f, lo, hi, cfg)
+        r = integrate_finite(f, lo, hi, cfg)
         errs.append(r.err_est)
         return r.value
     return value

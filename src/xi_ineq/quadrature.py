@@ -1,12 +1,14 @@
-"""Integration engines: adaptive ones, a trapezoid sum, and the fixed rule of
+"""Integration engines: an adaptive one, a trapezoid sum, and the fixed rule of
 the node tables.
 
-Three adaptive entry points:
+One adaptive entry point:
 
-  integrate_finite          adaptive Gauss-Kronrod 7/15 on [a, b]
-  integrate_semi_infinite   [a, inf) with an explicit exponential tail cutoff
-  integrate_oscillatory_cos int_a^inf f(x) cos(tx) dx by half-period panels
-                            with compensated panel summation
+  integrate_finite          adaptive Gauss-Kronrod 7/15 on [a, b], its accepted
+                            panels summed exactly (math.fsum); a caller on a
+                            decaying integrand passes the upper limit
+                            (cfg.truncation_point), and one on an oscillating
+                            integrand presplits with `min_panels` so that no
+                            first panel is wider than a half period
 
 The cosh-substituted integrals of the W and J tables share one equispaced engine,
 batched by rows: one call integrates m rows, each on its own interval, and values
@@ -83,26 +85,6 @@ class QuadResult:
     converged: bool = True
 
 
-class NeumaierSum:
-    """Compensated accumulator; order of add() calls is the summation order."""
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
-
-
 def _eval(f: Callable[[float], float], x: float) -> float:
     fx = f(x)
     if not math.isfinite(fx):
@@ -152,11 +134,14 @@ def integrate_finite(
     abs_tol: Optional[float] = None,
     min_panels: int = 1,
 ) -> QuadResult:
-    """Adaptive bisection with the embedded 7/15 pair.
+    """Adaptive bisection with the embedded 7/15 pair; the accepted panels'
+    values are summed exactly (math.fsum), so the order they settle in does not
+    matter.
 
     The first panel samples 15 abscissae, so a feature much narrower than
     (b-a)/15 can hide between nodes; callers integrating a wide window around
-    a localized integrand should pass `min_panels` to presplit it.
+    a localized integrand, or an oscillating one, should pass `min_panels` to
+    presplit it into equal panels, each with an equal share of abs_tol.
 
     Raises ConvergenceError (carrying the best QuadResult) if some panel still
     misses its tolerance share at depth cfg.quad_max_depth.
@@ -166,7 +151,7 @@ def integrate_finite(
     abs_tol = cfg.quad_abs_tol if abs_tol is None else abs_tol
     rel_tol = cfg.quad_rel_tol
 
-    total = NeumaierSum()
+    values = []
     err_total = 0.0
     evals = 0
     exhausted = False
@@ -180,48 +165,25 @@ def integrate_finite(
         lo, hi, budget, depth = stack.pop()
         value, err, n = _gk15(f, lo, hi)
         evals += n
-        if err <= max(budget, rel_tol * abs(value)) or (hi - lo) <= 1e-15 * max(abs(lo), abs(hi), 1.0):
-            total.add(value)
+        settled = (err <= max(budget, rel_tol * abs(value))
+                   or (hi - lo) <= 1e-15 * max(abs(lo), abs(hi), 1.0))
+        if settled or depth >= cfg.quad_max_depth:
+            values.append(value)
             err_total += err
-            continue
-        if depth >= cfg.quad_max_depth:
-            total.add(value)
-            err_total += err
-            exhausted = True
+            exhausted |= not settled
             continue
         mid = 0.5 * (lo + hi)
         half = 0.5 * budget
         stack.append((mid, hi, half, depth + 1))
         stack.append((lo, mid, half, depth + 1))
 
-    result = QuadResult(total.value, err_total, evals, converged=not exhausted)
+    result = QuadResult(math.fsum(values), err_total, evals, converged=not exhausted)
     if exhausted:
         raise ConvergenceError(
             f"depth {cfg.quad_max_depth} exhausted on [{a}, {b}]; "
             f"best estimate {result.value!r} +- {result.err_est:.3e}",
             partial=result,
         )
-    return result
-
-
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    a: float,
-    decay_rate: float,
-    cfg: EvalConfig,
-    scale: float = 1.0,
-    cutoff: Optional[float] = None,
-) -> QuadResult:
-    """Integrate [a, inf) assuming |f(x)| <= scale*exp(-decay_rate*x) eventually.
-
-    The upper limit comes from cfg's cutoff policy unless an explicit `cutoff`
-    is supplied (callers with super-exponential integrands pass their own).
-    """
-    x_max = cfg.truncation_point(decay_rate, scale) if cutoff is None else cutoff
-    if x_max <= a:
-        x_max = a + 1.0
-    result = integrate_finite(f, a, x_max, cfg)
-    result.truncation_point = x_max
     return result
 
 
@@ -281,55 +243,6 @@ def integrate_eta_weighted(
     result = integrate_trapezoid(integrand, u_max, cfg)
     result.truncation_point = u_max
     return result
-
-
-def integrate_oscillatory_cos(
-    f: Callable[[float], float],
-    t: float,
-    a: float,
-    decay_rate: float,
-    cfg: EvalConfig,
-    scale: float = 1.0,
-    cutoff: Optional[float] = None,
-) -> QuadResult:
-    """int_a^inf f(x) cos(tx) dx for smooth, exponentially decaying f.
-
-    For |t| <= 1 one oscillation spans more than the decay scale, so the plain
-    semi-infinite engine is used.  Otherwise the range is cut at half-period
-    boundaries k*pi/|t| and panels are summed compensated, in ascending order.
-    """
-    if abs(t) <= 1.0:
-        return integrate_semi_infinite(lambda x: f(x) * math.cos(t * x), a, decay_rate, cfg,
-                                       scale=scale, cutoff=cutoff)
-
-    x_max = cfg.truncation_point(decay_rate, scale) if cutoff is None else cutoff
-    if x_max <= a:
-        x_max = a + 1.0
-    period = math.pi / abs(t)
-    edges = [a]
-    k = math.floor(a / period) + 1
-    while k * period < x_max:
-        if k * period > a:
-            edges.append(k * period)
-        k += 1
-    edges.append(x_max)
-
-    n_panels = len(edges) - 1
-    panel_tol = cfg.quad_abs_tol / max(n_panels, 1)
-    total = NeumaierSum()
-    err_total = 0.0
-    evals = 0
-
-    def integrand(x):
-        return f(x) * math.cos(t * x)
-
-    for lo, hi in zip(edges, edges[1:]):
-        part = integrate_finite(integrand, lo, hi, cfg, abs_tol=panel_tol)
-        total.add(part.value)
-        err_total += part.err_est
-        evals += part.evals
-
-    return QuadResult(total.value, err_total, evals, truncation_point=x_max)
 
 
 TRAPEZOID_HALVINGS = 10   # 8 * 2^10 panels at most

@@ -15,7 +15,8 @@ correlation kernel U_sigma, and the cosine-transform route to |xi|^2 through it.
 
 That route, |xi(sigma-it)|^2 = (1/2) int_0^inf U_sigma(y) cos(ty) dy, reads one
 certified table per sigma (`_u_table`): U_sigma at the 96 Chebyshev points of
-the first kind on [0, 3.4], times their Fejer type-1 weights.  Past 3.4 U's
+the first kind on [0, 3.4], read with their Fejer type-1 weights by the route
+and by the barycentric formula by density_Pbar.  Past 3.4 U's
 doubly exponential decay has taken it below 1e-30 of U(0), so the support is cut
 there; the rule stays on the half line, because U's even extension is not
 smooth at y = 0.  The node values come from the full-line form
@@ -37,8 +38,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError
-from .quadrature import (barycentric, chebyshev_fejer, integrate_finite,
-                         integrate_semi_infinite)
+from .quadrature import barycentric, chebyshev_fejer, integrate_finite
 from .theta import _MIN_TERMS, theta_H, theta_R
 
 # where exp(-pi x) alone is below any double-precision tolerance
@@ -54,8 +54,9 @@ def xi(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Entire completed-zeta evaluation; satisfies xi(s) = xi(1-s).
 
     The real and imaginary parts are two adaptive integrals of one complex
-    integrand; within a call it is computed once per abscissa, and the imaginary
-    pass reads the values the real pass left (not a cache across calls)."""
+    integrand on [1, cfg.truncation_point(pi, 2)]; within a call it is computed
+    once per abscissa, and the imaginary pass reads the values the real pass
+    left (not a cache across calls)."""
     s = complex(s)
     values = {}
 
@@ -66,11 +67,12 @@ def xi(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
             values[x] = value
         return value
 
-    re = integrate_semi_infinite(lambda x: integrand(x).real, 1.0, _PSI_DECAY, cfg, scale=2.0)
+    x_max = cfg.truncation_point(_PSI_DECAY, 2.0)
+    re = integrate_finite(lambda x: integrand(x).real, 1.0, x_max, cfg)
     if s.imag == 0.0:
         integral = complex(re.value, 0.0)
     else:
-        im = integrate_semi_infinite(lambda x: integrand(x).imag, 1.0, _PSI_DECAY, cfg, scale=2.0)
+        im = integrate_finite(lambda x: integrand(x).imag, 1.0, x_max, cfg)
         integral = complex(re.value, im.value)
     return 0.5 + 0.5 * s * (s - 1.0) * integral
 
@@ -223,12 +225,12 @@ def _u_line_sum(sigma: float, ys, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarra
 
 @config_cache(maxsize=32)
 def _u_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """The Fejer masses w_j U_sigma(y_j) at the nodes _U_X, the node values from
-    `_u_line_sum`; read-only.  The polynomial through the node values is certified
-    against U_sigma(..., "two_term", abs_tol=0.1 quad_abs_tol), a different
-    quadrature, at the 12 _U_PROBES, to 100 quad_abs_tol absolute in U, so the
-    check covers the line sum and the interpolation together; ConvergenceError
-    (partial: the worst deviation) is raised when it misses."""
+    """U_sigma at the nodes _U_X, from `_u_line_sum`; read-only.  The polynomial
+    through these values is certified against U_sigma(..., "two_term",
+    abs_tol=0.1 quad_abs_tol), a different quadrature, at the 12 _U_PROBES, to
+    100 quad_abs_tol absolute in U, so the check covers the line sum and the
+    interpolation together; ConvergenceError (partial: the worst deviation) is
+    raised when it misses."""
     values = _u_line_sum(sigma, _U_X, cfg)
     abs_tol = 0.1 * cfg.quad_abs_tol
     probes = np.array([U_sigma(sigma, float(y), "two_term", cfg, abs_tol=abs_tol)
@@ -239,19 +241,25 @@ def _u_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
         raise ConvergenceError(
             f"U table certification failed at sigma={sigma!r}: err {worst:.2e} > {limit:.0e}",
             worst)
-    masses = _U_WEIGHTS * values
-    masses.flags.writeable = False
-    return masses
+    values.flags.writeable = False
+    return values
 
 
 def xi_mod_sq_via_U(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """|xi(sigma-it)|^2 = (1/2) int_0^inf U_sigma(y) cos(ty) dy, by the fixed 96-node
-    Fejer rule on [0, _U_SUPPORT] over `_u_table`'s certified masses: one exactly
-    summed (math.fsum) product per t.  Past the cut U is below 1e-30 of U(0)."""
-    return 0.5 * math.fsum(np.cos(t * _U_X) * _u_table(sigma, cfg))
+    Fejer rule on [0, _U_SUPPORT] over `_u_table`'s certified node values: one
+    exactly summed (math.fsum) product per t.  Past the cut U is below 1e-30 of
+    U(0)."""
+    return 0.5 * math.fsum(np.cos(t * _U_X) * (_U_WEIGHTS * _u_table(sigma, cfg)))
 
 
 def density_Pbar(sigma: float, y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Density of the difference of two independent draws from density_P:
-    U_sigma(|y|) / (4 xi(sigma)^2); symmetric and integrates to 1."""
-    return U_sigma(sigma, abs(y), "two_term", cfg) / (4.0 * xi_real(sigma, cfg) ** 2)
+    U_sigma(|y|) / (4 xi(sigma)^2), U read from `_u_table`'s certified
+    interpolant (0.0 past _U_SUPPORT, where U is below 1e-30 of U(0));
+    symmetric and integrates to 1."""
+    y = abs(y)
+    if y >= _U_SUPPORT:
+        return 0.0
+    u = barycentric(_u_table(sigma, cfg), _U_X, _U_BARY, np.array([y]))[0]
+    return float(u) / (4.0 * xi_real(sigma, cfg) ** 2)

@@ -14,7 +14,7 @@ import pytest
 import xi_ineq
 from xi_ineq.cli import main, render_json
 from xi_ineq.config import DEFAULT_CONFIG, config_from_mapping, parse_config_text
-from xi_ineq import modulus
+from xi_ineq import inequality, modulus
 from xi_ineq.modulus import _jeta_table, _w_table, constants, power_series_coeffs
 
 
@@ -29,16 +29,20 @@ def strip_timestamp(text: str) -> str:
 
 
 def count_adaptive_transforms(monkeypatch) -> list:
-    """Record the frequency of every adaptive cosine transform that modulus
-    starts, whoever calls it."""
+    """Record the frequency of every adaptive cosine transform that the library
+    starts, through whichever module's binding of `modulus.w_cos_transform`."""
     calls = []
-    adaptive = modulus.integrate_oscillatory_cos
+    adaptive = modulus.w_cos_transform
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return adaptive(*args, **kwargs)
+    def counted(sigma, t, *args, **kwargs):
+        calls.append(t)
+        return adaptive(sigma, t, *args, **kwargs)
 
-    monkeypatch.setattr(modulus, "integrate_oscillatory_cos", counted)
+    for name, module in list(sys.modules.items()):
+        if name == "xi_ineq" or name.startswith("xi_ineq."):
+            for key, value in list(vars(module).items()):
+                if value is adaptive:
+                    monkeypatch.setattr(module, key, counted)
     return calls
 
 
@@ -342,6 +346,18 @@ class TestCommands:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "more than 1000000 points" in err
+
+    def test_samples_past_the_cap_is_usage_error(self, capsys, monkeypatch):
+        # a mistyped sample count: one line on stderr, exit 3, no sampler built
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampler built")
+
+        monkeypatch.setattr(inequality, "XSigmaSampler", refuse)
+        code = main(["montecarlo", "--samples", "1000000000000"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "at most" in err
 
     def test_autocorr_range_with_no_grid_point_is_usage_error(self, capsys):
         # t = 0.5 is past t_max = 0.3: no point of the zero scan's grid

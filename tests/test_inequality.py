@@ -8,7 +8,7 @@ from scipy.stats import kstest
 from conftest import w_moment_reference, xi_mod_sq_reference
 from xi_ineq import inequality, modulus
 from xi_ineq.errors import ConvergenceError, DomainError
-from xi_ineq.inequality import (_W_CUT, MAX_GRID_POINTS, XSigmaSampler, _w_table,
+from xi_ineq.inequality import (_W_CUT, MAX_GRID_POINTS, MAX_SAMPLES, XSigmaSampler, _w_table,
                                 autocorrelation_A, bisect_zero,
                                 check_poly_min_criterion, grid_indices, K_fourier, K_sigma,
                                 lemb_moment_bound, mc_check, mm_bound,
@@ -328,6 +328,19 @@ class TestMonteCarlo:
     def test_rejects_tiny_n(self, cfg):
         with pytest.raises(ValueError):
             mc_check(0.75, [1.0], 10, 17, cfg)
+
+    @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10 ** 12])
+    def test_rejects_samples_past_the_cap_before_building(self, cfg, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampler built")
+
+        monkeypatch.setattr(inequality, "XSigmaSampler", refuse)
+        with pytest.raises(DomainError, match="at most"):
+            mc_check(0.75, [1.0], n, 17, cfg)
+
+    def test_sample_cap_leaves_room_for_t_10(self):
+        # certifying t = 10 at sigma 0.75 takes about 2e7 draws
+        assert MAX_SAMPLES > 2 * 10 ** 7
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 128])
     def test_rejects_seed_out_of_range_before_building(self, cfg, monkeypatch, seed):
