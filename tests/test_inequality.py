@@ -8,8 +8,8 @@ from scipy.stats import kstest
 from conftest import w_moment_reference, xi_mod_sq_reference
 from xi_ineq import inequality, modulus
 from xi_ineq.errors import ConvergenceError, DomainError
-from xi_ineq.inequality import (_W_CUT, MAX_GRID_POINTS, MAX_SAMPLES, XSigmaSampler, _w_table,
-                                autocorrelation_A, bisect_zero,
+from xi_ineq.inequality import (_W_CUT, MAX_GRID_POINTS, MAX_SAMPLES, XSigmaSampler,
+                                _w_table, autocorrelation_A, bisect_zero,
                                 check_poly_min_criterion, grid_indices, K_fourier, K_sigma,
                                 lemb_moment_bound, mc_check, mm_bound,
                                 orthogonalization_scan, poly_approx_V,
