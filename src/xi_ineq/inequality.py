@@ -400,7 +400,10 @@ def K_fourier(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float
 
     The two exponential tails transform in closed form (2a/(a^2+t^2)); the
     Hcal part rides the same cosine transform as the modulus representation.
+    DomainError outside sigma in (1/2, 1), where K_sigma is not the positive kernel.
     """
+    if not 0.5 < sigma < 1.0:
+        raise DomainError(f"K_fourier needs sigma in (1/2,1), got {sigma!r}")
     s_val, t_val = constants(sigma, cfg)
     h_part = (sigma * (1.0 - sigma) * (2.0 * sigma - 1.0)
               * 2.0 * w_cos_fixed(sigma, t, cfg))

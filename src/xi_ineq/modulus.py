@@ -52,8 +52,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError
-from .quadrature import (barycentric, chebyshev_fejer, integrate_eta_weighted,
-                         integrate_finite, integrate_trapezoid, libm)
+from .quadrature import (RELATIVE_ONLY, barycentric, chebyshev_fejer,
+                         integrate_eta_weighted, integrate_finite, integrate_trapezoid, libm)
 from .theta import (J_tau, divisor_sigma, stable_combo_A, stable_combo_B,
                     theta_R, theta_R_prime, theta_R_prime_truncated,
                     theta_R_truncated)
@@ -126,8 +126,8 @@ def F_sigma(sigma: float, lam: float, deriv: int = 0, form: str = "direct",
                     * math.exp(-2.0 * lam * c) * math.cosh(tau * u))
 
         # F spans e^{-2 lam} scales; only relative acceptance keeps large lam honest
-        return integrate_finite(integrand, 0.0, _f_cosh_cutoff(lam, cfg), cfg,
-                                abs_tol=1e-300).value
+        return integrate_finite(integrand, 0.0, _f_cosh_cutoff(lam, cfg),
+                                replace(cfg, quad_abs_tol=RELATIVE_ONLY)).value
 
     if form == "eta":
         if deriv != 0:
@@ -148,7 +148,7 @@ def F_sigma(sigma: float, lam: float, deriv: int = 0, form: str = "direct",
             bracket = (y + 2.0 + s) ** (-tau) + (y + 2.0 - s) ** (-tau)
             return _f_poly(deriv, lam, 0.5 * (y + 2.0)) * math.exp(-arg) * bracket / (2.0 * s)
 
-        return integrate_finite(integrand, a, b, cfg, abs_tol=1e-300).value
+        return integrate_finite(integrand, a, b, replace(cfg, quad_abs_tol=RELATIVE_ONLY)).value
 
     raise ValueError(f"unknown F_sigma form {form!r}")
 
@@ -215,7 +215,8 @@ def _gcal(sigma: float, lam: np.ndarray, deriv: int, cfg: EvalConfig) -> np.ndar
         return scale * acc * libm(math.cosh, tau * u)
 
     u_max = np.array([_f_cosh_cutoff(mu_1, cfg) for mu_1 in mu[:, 0].tolist()])
-    out[filled] = integrate_trapezoid(integrand, u_max, replace(cfg, quad_abs_tol=1e-300)).value
+    out[filled] = integrate_trapezoid(integrand, u_max,
+                                      replace(cfg, quad_abs_tol=RELATIVE_ONLY)).value
     return out
 
 
@@ -228,8 +229,8 @@ def calG(sigma: float, lam, deriv: int = 0, cfg: EvalConfig = DEFAULT_CONFIG):
     and the remaining p-sum, a polynomial in exp(-2 pi lam cosh u), is folded
     inside a single cosh-substituted integral, even and analytic in u and
     negligible past its cutoff, so each value is one `integrate_trapezoid` row.
-    Acceptance is relative (values span e^{-2 pi lam} scales): the engine gets an
-    absolute target of 1e-300.
+    Acceptance is relative (values span e^{-2 pi lam} scales): the engine gets the
+    absolute target RELATIVE_ONLY.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any(lams <= 0.0):
@@ -282,8 +283,8 @@ def W_sigma(sigma: float, x: float, form: str = "closed",
         # positive integrand far below quad_abs_tol for x >~ 2: force the
         # relative criterion so tiny values keep relative accuracy
         half = 3.5
-        return integrate_finite(integrand, 0.5 * x - half, 0.5 * x + half, cfg,
-                                abs_tol=1e-300).value
+        return integrate_finite(integrand, 0.5 * x - half, 0.5 * x + half,
+                                replace(cfg, quad_abs_tol=RELATIVE_ONLY)).value
     raise ValueError(f"unknown W_sigma form {form!r}")
 
 
@@ -467,17 +468,21 @@ def _st_method_B(sigma: float, cfg: EvalConfig, paper_truncation: bool):
     derivatives at 0: T = pref h1 and S = pref ((s^2 + (1-s)^2) h1 - h3).
     Fixed-truncation mode follows the published recipe bit-faithfully: the
     literal double sum m, n <= 10 with every F-integral forced onto [0.001, 20]
-    (no substitution, no adaptivity past the bounds).
+    (no substitution, no adaptivity past the bounds), each of the 42 distinct
+    floats lam = pi m n integrated once.
     """
     s = sigma
     if paper_truncation:
         coef = s * s + (1.0 - s) ** 2 - 0.25
         s_sum = t_sum = 0.0
+        f_at = {}
         for m in range(1, 11):
             for n in range(1, 11):
                 lam = math.pi * m * n
                 w = float(m) ** (-s - 0.5) * float(n) ** (s - 1.5)
-                F0, F1, F2, F3 = (F_sigma(s, lam, d, "raw", cfg) for d in range(4))
+                if lam not in f_at:
+                    f_at[lam] = [F_sigma(s, lam, d, "raw", cfg) for d in range(4)]
+                F0, F1, F2, F3 = f_at[lam]
                 t_part = F1 * lam - 0.5 * F0
                 s_sum += w * (-F3 * lam ** 3 - 1.5 * F2 * lam ** 2 + coef * t_part)
                 t_sum += w * t_part

@@ -24,8 +24,9 @@ vector instructions nor on the rows beside it:
                             removes the (y-1)^{-1/2} endpoint singularity, by
                             integrate_trapezoid, one row per integral
 
-All engines report value, error estimate, evaluation count and (where one was
-chosen) the truncation point.
+All engines report value, error estimate and evaluation count.  Each takes its
+targets from the caller's config alone; a caller that wants relative
+acceptance only passes a copy whose quad_abs_tol is RELATIVE_ONLY.
 
 The node tables (the W table and the J/eta table in `modulus`, the U table in
 `xi`) share one fixed rule: `chebyshev_fejer` gives the Chebyshev points of the
@@ -37,12 +38,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .config import EvalConfig
 from .errors import ConvergenceError, EvaluationError
+
+# an absolute target below every integral's rounding: a config with this
+# quad_abs_tol makes an engine's acceptance relative only
+RELATIVE_ONLY = 1e-300
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].  Even-indexed nodes are
 # Kronrod-only; odd-indexed nodes (and the centre) carry the embedded Gauss rule.
@@ -81,7 +86,6 @@ class QuadResult:
     value: float
     err_est: float
     evals: int
-    truncation_point: Optional[float] = None
     converged: bool = True
 
 
@@ -131,7 +135,6 @@ def integrate_finite(
     a: float,
     b: float,
     cfg: EvalConfig,
-    abs_tol: Optional[float] = None,
     min_panels: int = 1,
 ) -> QuadResult:
     """Adaptive bisection with the embedded 7/15 pair; the accepted panels'
@@ -141,15 +144,14 @@ def integrate_finite(
     The first panel samples 15 abscissae, so a feature much narrower than
     (b-a)/15 can hide between nodes; callers integrating a wide window around
     a localized integrand, or an oscillating one, should pass `min_panels` to
-    presplit it into equal panels, each with an equal share of abs_tol.
+    presplit it into equal panels, each with an equal share of cfg.quad_abs_tol.
 
     Raises ConvergenceError (carrying the best QuadResult) if some panel still
     misses its tolerance share at depth cfg.quad_max_depth.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-    abs_tol = cfg.quad_abs_tol if abs_tol is None else abs_tol
-    rel_tol = cfg.quad_rel_tol
+    abs_tol, rel_tol = cfg.quad_abs_tol, cfg.quad_rel_tol
 
     values = []
     err_total = 0.0
@@ -240,9 +242,7 @@ def integrate_eta_weighted(
     def integrand(u, rows):
         return g(libm(math.cosh, u), rows) * 2.0 * libm(math.cosh, tau * u)
 
-    result = integrate_trapezoid(integrand, u_max, cfg)
-    result.truncation_point = u_max
-    return result
+    return integrate_trapezoid(integrand, u_max, cfg)
 
 
 TRAPEZOID_HALVINGS = 10   # 8 * 2^10 panels at most

@@ -19,11 +19,13 @@ not memoized: H's arguments barely repeat (about 3,800 distinct in 6,250
 calls of a cross-check run) and J_tau's never do, so a table would cost
 memory for little or no reuse.
 
-Also here: the double series J_tau and its derivatives (divisor-sum accelerated),
-at a float or over a whole array of arguments in one call (the J table's nodes
-ask for a trapezoid level of all 128 rows at once) with libm's exp, so that each
-element has the bits of its float call on every CPU; the weight eta_tau; and the
-sup-constants used in the tail bounds.
+H and the double series J_tau with its derivatives (divisor-sum accelerated)
+take a float or a whole array (the J table's trapezoid levels, the U table's
+line sum).  An array runs one element-wise loop, `_elementwise_series`, with
+libm's exp, so each element has the bits of its float call on every CPU; H's
+float call stays `_series`, which the adaptive U_sigma integrands call thousands
+of times a run.  Also here: the weight eta_tau, and the sup-constants used in
+the tail bounds.
 """
 
 from __future__ import annotations
@@ -51,6 +53,38 @@ def _series(term, cfg: EvalConfig) -> float:
             return total
     raise ConvergenceError(
         f"series cap {cfg.series_max_terms} reached", partial=total)
+
+
+def _elementwise_series(y: np.ndarray, exponent, factor, cfg: EvalConfig):
+    """`_series` at every element of the array y, of the terms factor(n, y) *
+    exp(-a), a = exponent(n, y), by libm and exactly 0.0 past a = _EXP_UNDERFLOW,
+    as the float terms give.  The callbacks see the 1-d array of the elements
+    still running (factor only those below the cut), and each element stops by
+    `_series`' rule, so it has the bits of its float call whatever array it rides
+    in.  A 0-d y gives a float back, any other an array of its shape;
+    ConvergenceError (partial: the sums so far, shaped alike) at the cap."""
+    y_live = y.ravel()
+    live = np.arange(y.size)             # the elements whose sums go on
+    total = np.zeros(y.size)
+    acc = total.copy()                   # their running sums
+    for n in range(1, cfg.series_max_terms + 1):
+        a = exponent(n, y_live)
+        on = a <= _EXP_UNDERFLOW
+        term = np.zeros(len(a))
+        term[on] = factor(n, y_live[on]) * libm(math.exp, -a[on])
+        acc += term
+        if n >= _MIN_TERMS:
+            done = np.abs(term) <= cfg.series_tol * np.abs(acc)
+            total[live[done]] = acc[done]
+            live, y_live, acc = live[~done], y_live[~done], acc[~done]
+            if not live.size:
+                break
+    else:
+        total[live] = acc
+    out = float(total[0]) if y.ndim == 0 else total.reshape(y.shape)
+    if live.size:
+        raise ConvergenceError(f"series cap {cfg.series_max_terms} reached", partial=out)
+    return out
 
 
 @lru_cache(maxsize=2048)   # a cross-check run asks for about 1,560 distinct arguments
@@ -88,8 +122,17 @@ def theta_G(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     return 1.0 + theta_R(y, cfg)
 
 
-def theta_H(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """H(y) = 4 pi sum [2 pi (ny)^4 - 3 (ny)^2] exp(-pi n^2 y^2)."""
+def theta_H(y, cfg: EvalConfig = DEFAULT_CONFIG):
+    """H(y) = 4 pi sum [2 pi (ny)^4 - 3 (ny)^2] exp(-pi n^2 y^2), at a float y (a
+    float back) or at every element of an array y (an array back, each element
+    with the bits of its float call)."""
+    if isinstance(y, np.ndarray):
+        if not np.all(y > 0.0):
+            raise DomainError(f"theta_H needs y > 0, got {y!r}")
+        small = y < 1.0
+        h = _elementwise_series(np.where(small, 1.0 / y, y),
+                                lambda n, y: math.pi * n * n * y * y, _h_factor, cfg)
+        return np.where(small, h / y, h)
     if not y > 0.0:
         raise DomainError(f"theta_H needs y > 0, got {y!r}")
     if y < 1.0:
@@ -97,12 +140,16 @@ def theta_H(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 
     def term(n):
         a = math.pi * n * n * y * y
-        if a > _EXP_UNDERFLOW:
-            return 0.0
-        ny2 = (n * y) ** 2
-        return 4.0 * math.pi * (2.0 * math.pi * ny2 * ny2 - 3.0 * ny2) * math.exp(-a)
+        return 0.0 if a > _EXP_UNDERFLOW else _h_factor(n, y) * math.exp(-a)
 
     return _series(term, cfg)
+
+
+def _h_factor(n: int, y):
+    """4 pi [2 pi (ny)^4 - 3 (ny)^2], the factor of exp(-pi (ny)^2) in H's n-th term,
+    at a float y or elementwise over an array, with the same bits."""
+    ny2 = (n * y) * (n * y)
+    return 4.0 * math.pi * (2.0 * math.pi * ny2 * ny2 - 3.0 * ny2)
 
 
 def stable_combo_A(y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -158,23 +205,6 @@ def divisor_sigma(k: int, a: float) -> float:
     return total
 
 
-_J_TABLES = 64        # (tau, deriv) tables kept, least recently used dropped first
-_J_FIRST_TERMS = 16   # terms a table keeps; a call at y >= 1 stops within 8
-
-
-def _j_block(tau: float, deriv: int, start: int, stop: int) -> list:
-    """(2 pi k, sigma_{2tau}(k) k^{-tau} (-2 pi k)^deriv) for start < k <= stop."""
-    return [(2.0 * math.pi * k,
-             divisor_sigma(k, 2.0 * tau) * float(k) ** (-tau) * (-2.0 * math.pi * k) ** deriv)
-            for k in range(start + 1, stop + 1)]
-
-
-@lru_cache(maxsize=_J_TABLES)
-def _j_table(tau: float, deriv: int) -> list:
-    """The first terms' constants of J_tau's series."""
-    return _j_block(tau, deriv, 0, _J_FIRST_TERMS)
-
-
 def J_tau(tau: float, y, deriv: int = 0,
           cfg: EvalConfig = DEFAULT_CONFIG, naive: bool = False):
     """deriv-th derivative of J_tau(y) = sum_{m,n} (n/m)^tau exp(-2 pi m n y), at a
@@ -184,14 +214,11 @@ def J_tau(tau: float, y, deriv: int = 0,
 
         J_tau(y) = sum_k sigma_{2tau}(k) k^{-tau} exp(-2 pi k y)
 
-    so each y-derivative just brings down (-2 pi k)^deriv.  The constants
-    2 pi k and sigma_{2tau}(k) k^{-tau} (-2 pi k)^deriv come from a table kept
-    per (tau, deriv), and past its first terms from a block formed on the call;
-    each term is their product with libm's exp(-2 pi k y), the value the
-    factor-by-factor product gives.  Every element stops on its own (at least
-    6 terms, then |term| <= series_tol |total|), so its bits are those of the
-    float call whatever array it rides in.  `naive=True` keeps the raw double
-    sum at a float y (test oracle; both indices capped by series_max_terms).
+    so each y-derivative just brings down (-2 pi k)^deriv.  The k-th term is the
+    constant sigma_{2tau}(k) k^{-tau} (-2 pi k)^deriv times libm's exp(-2 pi k y),
+    summed by `_elementwise_series`, so each element has the bits of its float
+    call whatever array it rides in.  `naive=True` keeps the raw double sum at a
+    float y (test oracle; both indices capped by series_max_terms).
     """
     ys = np.asarray(y, dtype=float)
     if not np.all(ys > 0.0):
@@ -214,35 +241,10 @@ def J_tau(tau: float, y, deriv: int = 0,
                 break
         return total
 
-    tol = cfg.series_tol
-    cap = cfg.series_max_terms
-    block = _j_table(tau, deriv)
-    if len(block) > cap:
-        block = block[:cap]
-    y_live = ys.ravel()
-    live = np.arange(ys.size)            # the elements whose sums go on
-    total = np.zeros(ys.size)
-    acc = total.copy()                   # their running sums
-    k = 0
-    while live.size:
-        for rate, coef in block:
-            k += 1
-            a = rate * y_live
-            term = np.where(a > _EXP_UNDERFLOW, 0.0, coef * libm(math.exp, -a))
-            acc += term
-            if k >= _MIN_TERMS:
-                done = np.abs(term) <= tol * np.abs(acc)
-                total[live[done]] = acc[done]
-                live, y_live, acc = live[~done], y_live[~done], acc[~done]
-                if not live.size:
-                    break
-        else:
-            if k >= cap:
-                total[live] = acc
-                partial = float(total[0]) if ys.ndim == 0 else total.reshape(ys.shape)
-                raise ConvergenceError(f"series cap {cap} reached", partial=partial)
-            block = _j_block(tau, deriv, k, min(2 * k, cap))
-    return float(total[0]) if ys.ndim == 0 else total.reshape(ys.shape)
+    def coef(k, y):
+        return divisor_sigma(k, 2.0 * tau) * float(k) ** (-tau) * (-2.0 * math.pi * k) ** deriv
+
+    return _elementwise_series(ys, lambda k, y: 2.0 * math.pi * k * y, coef, cfg)
 
 
 def eta_tau(tau: float, y: float) -> float:

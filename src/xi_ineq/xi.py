@@ -23,9 +23,11 @@ smooth at y = 0.  The node values come from the full-line form
 U_sigma(y) = int g(x) g(x+y) dx, g(x) = H(e^x) e^{(1-sigma)x}, as one uniform
 trapezoid sum (`_u_line_sum`): g is analytic in a strip and exactly 0.0 in
 double precision outside |x| <= 2.73, so the sum converges exponentially in its
-step.  The polynomial through the node values is checked against U_sigma, a
-different quadrature, at 12 probes between the nodes before the table is used,
-and each t is one exactly summed product with the masses.  U_sigma and the line
+step.  g on the sum's grid is one array call of `_g`, so of theta_H's array
+form, and each value has the bits of its float call on every CPU.  The
+polynomial through the node values is checked against U_sigma, a different
+quadrature, at 12 probes between the nodes before the table is used, and each
+t is one exactly summed product with the masses.  U_sigma and the line
 sum are computed here from H alone, so the route shares only the rule with the
 Hcal, Gcal and J/eta tables of `modulus`.
 """
@@ -33,13 +35,14 @@ Hcal, Gcal and J/eta tables of `modulus`.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError
-from .quadrature import barycentric, chebyshev_fejer, integrate_finite
-from .theta import _MIN_TERMS, theta_H, theta_R
+from .quadrature import RELATIVE_ONLY, barycentric, chebyshev_fejer, integrate_finite, libm
+from .theta import theta_H, theta_R
 
 # where exp(-pi x) alone is below any double-precision tolerance
 _PSI_DECAY = math.pi
@@ -103,9 +106,19 @@ def density_P(sigma: float, y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float
     return _g(sigma, y, cfg) / (2.0 * xi_real(sigma, cfg))
 
 
-def _g(sigma: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def _g(sigma: float, x, cfg: EvalConfig = DEFAULT_CONFIG):
     """g(x) = H(e^x) e^{(1-sigma)x}, which equals H(e^{-x}) e^{-sigma x} by
-    H(1/w) = w H(w): the density_P numerator, analytic in |Im x| < pi/4."""
+    H(1/w) = w H(w): the density_P numerator, analytic in |Im x| < pi/4.  At a
+    float x (a float back) or at every element of an array x (an array back, each
+    element with the bits of its float call): there g is exactly 0.0 past
+    _H_LOG_CUT, and the rest is one array `theta_H` call."""
+    if isinstance(x, np.ndarray):
+        out = np.zeros_like(x)
+        on = np.abs(x) <= _H_LOG_CUT
+        x = x[on]
+        twist = np.where(x <= 0.0, -sigma * x, (1.0 - sigma) * x)
+        out[on] = theta_H(libm(math.exp, np.abs(x)), cfg) * libm(math.exp, twist)
+        return out
     if x <= 0.0:
         return theta_H(math.exp(-x), cfg) * math.exp(-sigma * x)
     return theta_H(math.exp(x), cfg) * math.exp((1.0 - sigma) * x)
@@ -137,16 +150,15 @@ def U_sigma(sigma: float, y: float, form: str = "two_term",
     """
     if y < 0.0:
         raise DomainError(f"U_sigma needs y >= 0, got {y!r}")
-    eff_tol = 1e-300 if abs_tol is None else abs_tol
+    # the engine's target; the integrands keep cfg, the key of the theta tables
+    quad = replace(cfg, quad_abs_tol=RELATIVE_ONLY if abs_tol is None else abs_tol)
     if form == "two_term":
         ey = math.exp(y)
         p = 2.0 * sigma - 1.0
         one = integrate_finite(
-            lambda w: theta_H(w, cfg) * theta_H(ey * w, cfg) * w ** p, 1.0, _H_W_CUT, cfg,
-            abs_tol=eff_tol)
+            lambda w: theta_H(w, cfg) * theta_H(ey * w, cfg) * w ** p, 1.0, _H_W_CUT, quad)
         two = integrate_finite(
-            lambda w: theta_H(w, cfg) * theta_H(w / ey, cfg) * w ** (-p), 1.0, _H_W_CUT, cfg,
-            abs_tol=eff_tol)
+            lambda w: theta_H(w, cfg) * theta_H(w / ey, cfg) * w ** (-p), 1.0, _H_W_CUT, quad)
         return math.exp(sigma * y) * one.value + math.exp((sigma - 1.0) * y) * two.value
     if form == "three_term":
         z_cut = _H_LOG_CUT + 0.2
@@ -154,15 +166,13 @@ def U_sigma(sigma: float, y: float, form: str = "two_term",
         def pair(z, shift, weight):
             return theta_H(math.exp(z + shift), cfg) * theta_H(math.exp(z), cfg) * math.exp(weight * z)
 
-        one = integrate_finite(lambda z: pair(z, y, 2.0 * (1.0 - sigma)), 0.0, z_cut, cfg,
-                               abs_tol=eff_tol)
-        three = integrate_finite(lambda z: pair(z, y, 2.0 * sigma), 0.0, z_cut, cfg,
-                                 abs_tol=eff_tol)
+        one = integrate_finite(lambda z: pair(z, y, 2.0 * (1.0 - sigma)), 0.0, z_cut, quad)
+        three = integrate_finite(lambda z: pair(z, y, 2.0 * sigma), 0.0, z_cut, quad)
         mid = 0.0
         if y > 0.0:
             mid = integrate_finite(
                 lambda z: theta_H(math.exp(y - z), cfg) * theta_H(math.exp(z), cfg)
-                * math.exp((2.0 * sigma - 1.0) * z), 0.0, y, cfg, abs_tol=eff_tol).value
+                * math.exp((2.0 * sigma - 1.0) * z), 0.0, y, quad).value
         return (math.exp((1.0 - sigma) * y) * (one.value + mid)
                 + math.exp(sigma * y) * three.value)
     raise ValueError(f"unknown U_sigma form {form!r}")
@@ -181,45 +191,18 @@ _U_PROBES = (0.5 * (_U_X[1:] + _U_X[:-1]))[::8]     # 12 midpoints between nodes
 _U_STEP = 1.0 / 16.0
 
 
-# exp(-a) is subnormal past a = 708, and numpy's exp is slow there; a term of
-# H(w) this small is below rounding of every sum it enters, so the array form
-# leaves it out
-_EXP_CUT = 700.0
-
-
-def _g_array(sigma: float, x: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """g at the points x, elementwise: theta_H's series at w = e^{|x|} >= 1, term
-    by term with its stopping rule, times the twist of `_g`.  numpy's exp is not
-    libm's, so values agree with `_g` to rounding, not bit for bit."""
-    w = np.exp(np.abs(x))
-    total = np.zeros_like(w)
-    live = np.ones(w.shape, dtype=bool)
-    for n in range(1, cfg.series_max_terms + 1):
-        a = math.pi * n * n * w * w
-        on = live & (a <= _EXP_CUT)
-        ny2 = (n * w[on]) ** 2
-        term = np.zeros_like(w)
-        term[on] = 4.0 * math.pi * (2.0 * math.pi * ny2 * ny2 - 3.0 * ny2) * np.exp(-a[on])
-        total += term
-        if n >= _MIN_TERMS:
-            live &= np.abs(term) > cfg.series_tol * np.abs(total)
-            if not live.any():
-                return total * np.exp(np.where(x <= 0.0, -sigma * x, (1.0 - sigma) * x))
-    raise ConvergenceError(f"series cap {cfg.series_max_terms} reached", partial=total)
-
-
 def _u_line_sum(sigma: float, ys, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """U_sigma(y) = int_{-inf}^{inf} g(x) g(x+y) dx at each y >= 0 in ys, by the
     trapezoid rule of step _U_STEP on the whole line (Trefethen & Weideman, SIAM
     Review 56, 2014): h * fsum_k g(kh) g(kh + y).  g is exactly 0.0 in double
     precision for |x| > _H_LOG_CUT, so the window truncates nothing and the
-    shifted factors past it add exact zeros.  g comes from `_g_array` on the whole
-    shifted grid at once (96 x 87 points for the table).  Accurate in absolute
-    terms only (8e-8 relative at y = 2.5), so U_sigma keeps its relative-accuracy
-    integrals."""
+    shifted factors past it add exact zeros.  g comes from one array `_g` call on
+    the whole shifted grid (96 x 87 points for the table), so every product is
+    that of the float calls, bit for bit.  Accurate in absolute terms only (8e-8 relative
+    at y = 2.5), so U_sigma keeps its relative-accuracy integrals."""
     k_max = int(_H_LOG_CUT / _U_STEP)
     xs = _U_STEP * np.arange(-k_max, k_max + 1)
-    products = _g_array(sigma, xs, cfg) * _g_array(sigma, np.add.outer(ys, xs), cfg)
+    products = _g(sigma, xs, cfg) * _g(sigma, np.add.outer(ys, xs), cfg)
     return _U_STEP * np.array([math.fsum(row) for row in products.tolist()])
 
 

@@ -14,6 +14,7 @@ the expectation for T.
 
 import math
 import time
+from dataclasses import replace
 
 import pytest
 from scipy.stats import kstest
@@ -150,7 +151,7 @@ def test_criterion_07_power_series():
     for k in range(5):
         moment = integrate_finite(
             lambda y, k=k: U_sigma(0.75, y, "two_term", CFG, abs_tol=1e-16) * y ** (2 * k),
-            0.0, 3.4, CFG, abs_tol=1e-14).value
+            0.0, 3.4, replace(CFG, quad_abs_tol=1e-14)).value
         predicted = (-1.0) ** k / (2.0 * math.factorial(2 * k)) * moment
         worst_moment = max(worst_moment,
                            abs(series.coeffs[k] - predicted) / abs(predicted))

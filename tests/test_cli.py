@@ -367,6 +367,15 @@ class TestCommands:
         assert out == ""
         assert err.count("\n") == 1 and "no grid point" in err
 
+    @pytest.mark.parametrize("sigma", ["0.4", "0.5", "1.0"])
+    def test_autocorr_sigma_outside_the_strip_is_usage_error(self, capsys, sigma):
+        # 0.4 used to pass, 0.5 and 1.0 to end in a ZeroDivisionError traceback
+        code = main(["autocorr", "--sigma", sigma, "--t-max", "2", "--step", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "sigma in (1/2,1)" in err
+
     @pytest.mark.parametrize("argv, mention", [
         (["autocorr", "--step", "-0.5"], "step"),
         (["autocorr", "--step", "0"], "step"),
@@ -429,7 +438,7 @@ class TestCommands:
             for obj in vars(module).values():
                 if callable(obj) and hasattr(obj, "cache_info"):
                     bounds[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
-        assert {"xi_ineq.theta.divisor_sigma", "xi_ineq.theta._j_table",
+        assert {"xi_ineq.theta.divisor_sigma",
                 "xi_ineq.theta.theta_R", "xi_ineq.theta.theta_R_prime",
                 "xi_ineq.modulus._w_table", "xi_ineq.modulus._jeta_table"} <= set(bounds)
         assert all(isinstance(m, int) for m in bounds.values()), bounds

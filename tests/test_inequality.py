@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ class TestPolyApprox:
             want = integrate_finite(
                 lambda x: (W_sigma(0.75, x, "closed", cfg) * math.exp(-0.75 * x)
                            * x ** (2 * n) / math.factorial(2 * n)),
-                0.0, float(N1), cfg, abs_tol=1e-300).value
+                0.0, float(N1), replace(cfg, quad_abs_tol=1e-300)).value
             assert abs(mu - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.9])
@@ -411,6 +412,15 @@ class TestAutocorrelation:
     @pytest.mark.parametrize("t", [0.5, 2.0, 7.0, 15.0, 30.0])
     def test_bounded_by_one(self, cfg, t):
         assert abs(autocorrelation_A(0.75, t, cfg)) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("sigma", [0.4, 0.5, 1.0])
+    def test_sigma_outside_the_strip_is_a_domain_error(self, cfg, sigma):
+        # at 0.4 the kernel is not positive; at 0.5 and 1.0 A used to divide 0 by 0
+        for call in (lambda: K_fourier(sigma, 1.0, cfg),
+                     lambda: autocorrelation_A(sigma, 1.0, cfg),
+                     lambda: orthogonalization_scan(sigma, 2.0, 0.5, cfg)):
+            with pytest.raises(DomainError, match=r"sigma in \(1/2,1\)"):
+                call()
 
     @pytest.mark.parametrize("sigma", [0.6, 0.75])
     def test_no_zero_found_on_desk_range(self, cfg, sigma):

@@ -33,7 +33,7 @@ from xi_ineq import modulus, theta
 from xi_ineq.xi import xi
 from xi_ineq.modulus import S_T_constants, _jeta_table, calG, modulus_rhs_via_J
 
-# y = 0.05 takes a few hundred terms, so the J tables grow; y = 3 stops at the floor
+# y = 0.05 takes a few hundred terms; y = 3 stops at the floor
 BITS_J = {   # (tau, y, deriv)
     (0.25, 0.05, 0): '0x1.83edd979496aap+2',
     (0.25, 0.05, 1): '-0x1.77842c9c5e887p+7',

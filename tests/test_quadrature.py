@@ -107,7 +107,7 @@ class TestEtaWeighted:
         f = lambda y: math.exp(-2.0 * math.pi * y) * 2.0 / math.sqrt(y * y - 1.0)
         eps = 1e-12
         edges = [1.0 + eps * 10.0 ** k for k in range(13)] + [5.0]
-        offset = sum(integrate_finite(f, lo, hi, cfg, abs_tol=1e-13).value
+        offset = sum(integrate_finite(f, lo, hi, replace(cfg, quad_abs_tol=1e-13)).value
                      for lo, hi in zip(edges, edges[1:]))
         bias = 2.0 * math.exp(-2.0 * math.pi) * math.sqrt(2.0 * eps)
         assert abs(r.value - offset) <= bias + r.err_est + 1e-10

@@ -80,6 +80,18 @@ class TestThetaH:
     def test_inversion_example(self, cfg):
         assert abs(theta_H(2.0, cfg) - 0.5 * theta_H(0.5, cfg)) < 1e-12
 
+    def test_array_call_keeps_each_elements_bits(self, cfg):
+        # a grid over (0, 20], through the inversion below 1 and y = 1 itself,
+        # where the terms underflow at different n; a 2-d array keeps its shape
+        ys = np.concatenate([np.linspace(0.02, 20.0, 999), [1.0, 0.999, 1e-3]])
+        got = theta_H(ys, cfg)
+        assert got.tolist() == [theta_H(y, cfg) for y in ys.tolist()]
+        assert theta_H(ys.reshape(3, -1), cfg).tolist() == got.reshape(3, -1).tolist()
+
+    def test_array_domain(self, cfg):
+        with pytest.raises(DomainError):
+            theta_H(np.array([1.0, 0.0]), cfg)
+
 
 class TestStableCombos:
     def test_combo_A_reduces_at_1(self, cfg):
@@ -169,8 +181,8 @@ class TestJTau:
         assert np.all(np.abs(fast - slow) <= 1e-12 * np.maximum(np.abs(fast), 1e-300))
 
     def test_array_call_keeps_each_elements_bits(self, cfg):
-        # elements stop after different numbers of terms (0.01 runs past the
-        # first table block, 200 underflows at once); each keeps its float bits
+        # elements stop after different numbers of terms (0.01 runs to hundreds,
+        # 200 underflows at once); each keeps its float bits
         ys = np.array([[0.01, 1.0, 3.0], [200.0, 0.3, 1.7]])
         for deriv in range(4):
             got = J_tau(0.25, ys, deriv, cfg)
@@ -184,7 +196,7 @@ class TestJTau:
     def test_tau_symmetry_at_zero(self, cfg):
         assert J_tau(0.0, 1.5, 0, cfg) == J_tau(-0.0, 1.5, 0, cfg)
 
-    # y = 0.01 and 0.001 run far past the table's first terms
+    # y = 0.01 and 0.001 run to hundreds and thousands of terms
     @pytest.mark.parametrize("y, min_terms", [(0.01, 500), (0.001, 4097)])
     def test_long_sums_equal_the_plain_sum(self, cfg, y, min_terms):
         tau, deriv = 0.25, 2
@@ -198,10 +210,9 @@ class TestJTau:
                 break
         assert k >= min_terms
         assert J_tau(tau, y, deriv, cfg) == total
-        assert len(theta._j_table(tau, deriv)) == theta._J_FIRST_TERMS
 
     def test_series_cap_raises(self):
-        # the cap (10) lies inside the first table block (16 terms)
+        # the cap (10) stops the sum long before it settles
         with pytest.raises(ConvergenceError) as exc:
             J_tau(0.25, 0.01, 0, EvalConfig(series_max_terms=10))
         assert exc.value.partial > 0.0

@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import xi_mod_sq_reference, xi_reference
 from xi_ineq.errors import ConvergenceError
 from xi_ineq.quadrature import integrate_finite
-from xi_ineq.xi import (_H_LOG_CUT, _U_PROBES, _U_STEP, _U_X, U_sigma, _g, _g_array, _u_line_sum,
+from xi_ineq.xi import (_H_LOG_CUT, _U_PROBES, _U_STEP, _U_X, U_sigma, _g, _u_line_sum,
                         _u_table, char_fn_Xi, density_P, density_Pbar, xi, xi_mod_sq,
                         xi_mod_sq_via_U, xi_real)
 
@@ -100,16 +101,16 @@ class TestCharFn:
 
 class TestDensityP:
     def test_normalization(self, cfg):
-        total = integrate_finite(lambda y: density_P(0.75, y, cfg), -8.0, 8.0, cfg,
-                                 abs_tol=1e-11, min_panels=16).value
+        total = integrate_finite(lambda y: density_P(0.75, y, cfg), -8.0, 8.0,
+                                 replace(cfg, quad_abs_tol=1e-11), min_panels=16).value
         assert abs(total - 1.0) < 1e-8
 
     def test_characteristic_function_match(self, cfg):
         t = 2.0
         re = integrate_finite(lambda y: math.cos(t * y) * density_P(0.75, y, cfg),
-                              -8.0, 8.0, cfg, abs_tol=1e-11, min_panels=16).value
+                              -8.0, 8.0, replace(cfg, quad_abs_tol=1e-11), min_panels=16).value
         im = integrate_finite(lambda y: math.sin(t * y) * density_P(0.75, y, cfg),
-                              -8.0, 8.0, cfg, abs_tol=1e-11, min_panels=16).value
+                              -8.0, 8.0, replace(cfg, quad_abs_tol=1e-11), min_panels=16).value
         assert abs(complex(re, im) - char_fn_Xi(0.75, t, cfg)) < 1e-8
 
     def test_nonnegative_on_grid(self, cfg):
@@ -169,7 +170,17 @@ class TestUTable:
     def test_array_g_matches_scalar_g(self, cfg, sigma):
         xs = np.linspace(-_H_LOG_CUT, _H_LOG_CUT, 1001)
         want = np.array([_g(sigma, float(x), cfg) for x in xs])
-        assert np.max(np.abs(_g_array(sigma, xs, cfg) - want)) <= 1e-15 * np.max(np.abs(want))
+        assert _g(sigma, xs, cfg).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("sigma", [0.55, 0.95])
+    def test_line_sum_is_the_sum_of_float_g_products(self, cfg, sigma):
+        # bit for bit, shifted factors past the cut included, on every CPU
+        k_max = int(_H_LOG_CUT / _U_STEP)
+        xs = [_U_STEP * k for k in range(-k_max, k_max + 1)]
+        ys = _U_X[[30, 60]]
+        want = [_U_STEP * math.fsum(_g(sigma, x, cfg) * _g(sigma, x + y, cfg) for x in xs)
+                for y in ys.tolist()]
+        assert _u_line_sum(sigma, ys, cfg).tolist() == want
 
     def test_build_calls_U_sigma_only_at_the_probes(self, cfg, monkeypatch):
         ys = []
@@ -223,13 +234,13 @@ class TestDensityPbar:
         assert density_Pbar(0.75, 0.7, cfg) == density_Pbar(0.75, -0.7, cfg)
 
     def test_normalization(self, cfg):
-        half = integrate_finite(lambda y: density_Pbar(0.75, y, cfg), 0.0, 3.4, cfg,
-                                abs_tol=1e-10).value
+        half = integrate_finite(lambda y: density_Pbar(0.75, y, cfg), 0.0, 3.4,
+                                replace(cfg, quad_abs_tol=1e-10)).value
         assert abs(2.0 * half - 1.0) < 1e-7
 
     def test_is_self_convolution_of_P(self, cfg):
         y0 = 0.5
         conv = integrate_finite(
             lambda z: density_P(0.75, y0 + z, cfg) * density_P(0.75, z, cfg),
-            -8.0, 8.0, cfg, abs_tol=1e-10, min_panels=16).value
+            -8.0, 8.0, replace(cfg, quad_abs_tol=1e-10), min_panels=16).value
         assert abs(conv - density_Pbar(0.75, y0, cfg)) < 1e-6
