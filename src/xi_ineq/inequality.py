@@ -30,9 +30,9 @@ from numpy.polynomial import Chebyshev
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DomainError
-from .modulus import (_W_CUT, _cos_taylor_terms, _scaled_moments, _w_table, calH,
-                      constants, modulus_rhs_via_J, w_cos_fixed, W_sigma)
-from .quadrature import BARY_BLOCK, integrate_finite
+from .modulus import (_W_CUT, _cos_taylor_terms, _scaled_moments, _w_table, constants,
+                      modulus_rhs, modulus_rhs_via_J, w_cos_fixed, W_sigma)
+from .quadrature import integrate_finite
 from .theta import sup_constant_C, sup_constant_Cn
 
 
@@ -110,12 +110,9 @@ def scan_inequality(sigma: float, t_max: float, step: float,
     grid = [k * step for k in grid_indices(0.0, t_max, step, "scan")]
 
     if route == "representation":
-        s_val, t_val = constants(sigma, cfg)
-
         def value_err(t):
             poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
-            cos_int = w_cos_fixed(sigma, t, cfg)
-            v = s_val + t_val * t * t + poly * cos_int
+            v = 2.0 * modulus_rhs(sigma, t, cfg)
             e = 20.0 * cfg.quad_abs_tol * max(poly, 1.0) + 1e-12 * abs(v)
             return v, e
     elif route == "J_eta":
@@ -256,9 +253,12 @@ class XSigmaSampler:
     on x >= 0.
 
     Proposal: Exponential(sigma).  Acceptance: u < W_sigma(x) / (2 C^2), valid
-    because W_sigma < 2 C^2 uniformly; W is `_w_table`'s density times
-    e^{sigma x}, clamped at 0 and cut at _W_CUT.  On each bin of a uniform grid
-    W is at most its larger end value plus half the step times a bound on |W'|.
+    because W_sigma < 2 C^2 uniformly; W is e^{sigma x} times the Chebyshev
+    series of `_w_table`'s density, summed by Clenshaw's recurrence in O(len(x))
+    memory, clamped at 0 and cut at _W_CUT.  The ceiling grid, the acceptance
+    test, the slope bound and the CDF read that one series.  On each bin of a
+    uniform grid W is at most its larger end value plus half the step times a
+    bound on |W'|.
     Proposals with u at or above the ceiling p = (largest bin bound) / (2 C^2)
     are skipped by geometric thinning (Devroye, Non-Uniform Random Variate
     Generation, 1986, II.3): only candidates, u < p, are generated, each after
@@ -270,7 +270,7 @@ class XSigmaSampler:
     is a prefix of sample(n) for m < n.
     """
 
-    _CHUNK = BARY_BLOCK    # candidates per block of uniforms
+    _CHUNK = 1 << 16   # candidates per block of uniforms; fixes which uniforms a draw reads
     _GRID = 1 << 13    # points of the ceiling grid, whose bins are the squeeze
 
     def __init__(self, sigma: float, cfg: EvalConfig = DEFAULT_CONFIG):
@@ -278,10 +278,10 @@ class XSigmaSampler:
             raise DomainError(f"sampler needs sigma in (1/2,1), got {sigma!r}")
         self.sigma = sigma
         self.envelope = 2.0 * sup_constant_C(cfg) ** 2
-        self._table = _w_table(sigma, cfg)
+        table = _w_table(sigma, cfg)
         # the density's Chebyshev coefficients bound |W'| = |(dens' + sigma dens) e^{sigma x}|
-        dens = Chebyshev.interpolate(self._table.density, self._table.values.size - 1,
-                                     [0.0, _W_CUT])
+        self._dens = dens = Chebyshev.interpolate(table.density, table.values.size - 1,
+                                                  [0.0, _W_CUT])
         slope = (np.abs(dens.deriv().coef).sum()
                  + sigma * np.abs(dens.coef).sum()) * math.exp(sigma * _W_CUT)
         ws = self.w_table(np.linspace(0.0, _W_CUT, self._GRID))
@@ -297,7 +297,7 @@ class XSigmaSampler:
 
     def w_table(self, x: np.ndarray) -> np.ndarray:
         """W at the points x >= 0 (1-d), 0 beyond the support cut."""
-        w = np.maximum(self._table.density(x), 0.0) * np.exp(self.sigma * np.minimum(x, _W_CUT))
+        w = np.maximum(self._dens(x), 0.0) * np.exp(self.sigma * np.minimum(x, _W_CUT))
         return np.where(x >= _W_CUT, 0.0, w)
 
     def _squeeze(self, x: np.ndarray) -> np.ndarray:
@@ -383,14 +383,15 @@ def mc_check(sigma: float, ts, n_samples: int, seed: int,
 def K_sigma(sigma: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """K_sigma(x) = 2^{sigma+3/2} pi^{-1} sigma(1-sigma)(2 sigma-1) Hcal_sigma(x)
     + sigma [S - T(1-sigma)^2] e^{(sigma-1)x} - (1-sigma) [S - T sigma^2] e^{-sigma x};
-    positive on x >= 0 for sigma in (1/2, 1)."""
+    positive on x >= 0 for sigma in (1/2, 1).  2^{sigma+3/2} pi^{-1} Hcal_sigma is
+    W e^{-sigma x}, read from `_w_table`'s density and 0 from _W_CUT on."""
     if not 0.5 < sigma < 1.0:
         raise DomainError(f"K_sigma needs sigma in (1/2,1), got {sigma!r}")
     if x < 0.0:
         raise DomainError(f"K_sigma needs x >= 0, got {x!r}")
     s_val, t_val = constants(sigma, cfg)
-    pref = 2.0 ** (sigma + 1.5) / math.pi * sigma * (1.0 - sigma) * (2.0 * sigma - 1.0)
-    return (pref * calH(sigma, x, cfg)
+    w_exp = float(_w_table(sigma, cfg).density(np.array([x]))[0]) if x < _W_CUT else 0.0
+    return (sigma * (1.0 - sigma) * (2.0 * sigma - 1.0) * w_exp
             + sigma * (s_val - t_val * (1.0 - sigma) ** 2) * math.exp((sigma - 1.0) * x)
             - (1.0 - sigma) * (s_val - t_val * sigma * sigma) * math.exp(-sigma * x))
 

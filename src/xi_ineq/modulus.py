@@ -319,8 +319,10 @@ class WTable:
     truncation: MappingProxyType
 
     def density(self, x: np.ndarray) -> np.ndarray:
-        """The polynomial through `values` at the nodes _X, at the points x (1-d).  The
-        sampler asks for at most BARY_BLOCK points a call, so its calls are not split."""
+        """The polynomial through `values` at the nodes _X, at the points x (1-d), by the
+        barycentric form, which keeps its accuracy where the density is tiny.  Its readers
+        ask for at most a few hundred points; the sampler fits its own Chebyshev series to
+        this polynomial at 64 points and sums that on its many points."""
         return barycentric(self.values, _X, _BARY, x)
 
 

@@ -31,7 +31,8 @@ acceptance only passes a copy whose quad_abs_tol is RELATIVE_ONLY.
 The node tables (the W table and the J/eta table in `modulus`, the U table in
 `xi`) share one fixed rule: `chebyshev_fejer` gives the Chebyshev points of the
 first kind on [0, b] with their Fejer type-1 and barycentric weights, and
-`barycentric` reads the polynomial through values at such points.
+`barycentric` reads the polynomial through values at a few hundred such points
+at most (the sampler sums its own Chebyshev series instead).
 """
 
 from __future__ import annotations
@@ -339,9 +340,6 @@ def integrate_trapezoid(f: Callable[[np.ndarray, np.ndarray], np.ndarray], u_max
 # The fixed rule of the node tables
 # ---------------------------------------------------------------------------
 
-BARY_BLOCK = 1 << 16    # points per block of `barycentric`
-
-
 def chebyshev_fejer(n: int, b: float) -> tuple:
     """The n Chebyshev points of the first kind on [0, b], their Fejer type-1
     weights (Waldvogel, BIT 46, 2006), which sum to n, so that b/n times them is
@@ -356,14 +354,9 @@ def barycentric(values: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
                 x: np.ndarray) -> np.ndarray:
     """The polynomial through `values` at `nodes`, whose barycentric weights are
     `weights`, at the points x (1-d), by the barycentric second form (Berrut &
-    Trefethen, SIAM Review 46, 2004).  Points go in blocks of BARY_BLOCK with
-    len(nodes) floats of temporaries each."""
-    weighted = np.stack([weights * values, weights], axis=1)
-    out = np.empty(len(x))
-    for i in range(0, len(x), BARY_BLOCK):
-        d = np.subtract.outer(x[i:i + BARY_BLOCK], nodes)
-        d[d == 0.0] = 1e-300   # x on a node: that node's term decides alone
-        num_den = np.reciprocal(d, out=d) @ weighted
-        out[i:i + BARY_BLOCK] = num_den[:, 0] / num_den[:, 1]
-        del d   # freed before the next block is allocated
-    return out
+    Trefethen, SIAM Review 46, 2004), with len(x) * len(nodes) floats of temporaries.
+    Each point's two sums are exact (math.fsum), so no value depends on the CPU."""
+    d = np.subtract.outer(x, nodes)
+    d[d == 0.0] = 1e-300   # x on a node: that node's term decides alone
+    r = np.reciprocal(d, out=d)
+    return _row_fsums(r * (weights * values)) / _row_fsums(r * weights)

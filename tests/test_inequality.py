@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import w_moment_reference, xi_mod_sq_reference
+from conftest import w_exp_reference, w_moment_reference, xi_mod_sq_reference
 from xi_ineq import inequality, modulus
 from xi_ineq.errors import ConvergenceError, DomainError
 from xi_ineq.inequality import (_W_CUT, MAX_GRID_POINTS, MAX_SAMPLES, XSigmaSampler,
                                 _w_table, autocorrelation_A, bisect_zero,
                                 check_poly_min_criterion, grid_indices, K_fourier, K_sigma,
-                                lemb_moment_bound, mc_check, mm_bound,
+                                lemb_moment_bound, mc_check, mm_bound, TruncationLevels,
                                 orthogonalization_scan, poly_approx_V,
                                 scan_for_zero, scan_inequality,
                                 truncation_levels, verify_tail_bound)
@@ -150,6 +150,21 @@ class TestTruncationLevels:
         res = verify_tail_bound(lv, cfg)
         assert res["passes"]
 
+    # truncation_levels gives N1 >= 4 for every sigma in (1/2, 1), past the cut at
+    # 3, so only hand-made levels reach the adaptive tail.  The reference is a
+    # 32-point Gauss-Legendre sum of mpmath's Bessel-K form of W e^{-sigma x}.
+    # At N1 = 2 the tail (1.2e-21) lies far below the engine's absolute target,
+    # which resolves it to 7.4e-5 relative.
+    @pytest.mark.parametrize("N1, rel", [(1, 1e-12), (2, 1e-3)])
+    def test_adaptive_tail_below_the_cut(self, cfg, N1, rel):
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        half, mid = 0.5 * (3.5 - N1), 0.5 * (3.5 + N1)
+        want = 4.0 * half * sum(w * w_exp_reference(0.75, half * x + mid)
+                                for x, w in zip(nodes.tolist(), weights.tolist()))
+        res = verify_tail_bound(TruncationLevels(N1, 1, 0.5, 0.75, 1), cfg)
+        assert res["tail"] == pytest.approx(want, rel=rel)
+        assert res["limit"] == 0.125 and res["passes"]
+
     def test_validation(self, cfg):
         with pytest.raises(ValueError):
             truncation_levels(1.5, 0.75, 1, cfg)
@@ -271,18 +286,26 @@ class TestSampler:
         assert np.all(w <= s._accept_ceiling * s.envelope)
 
     def test_density_on_many_points_stays_small_in_memory(self, cfg):
-        # the output holds 8 MB and one block of temporaries 36 MB; an unblocked
-        # call held 576 MB
-        table = _w_table(0.75, cfg)
+        # the Clenshaw sum holds a few arrays of len(x) (48 MB measured on 2^20
+        # points); a barycentric matrix would hold 512 MB
+        s = XSigmaSampler(0.75, cfg)
         x = np.linspace(0.0, _W_CUT, 2 ** 20)
         tracemalloc.start()
         try:
-            dens = table.density(x)
+            w = s.w_table(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert dens.shape == x.shape
+        assert w.shape == x.shape
         assert peak < 64 * 2 ** 20
+
+    def test_series_matches_the_table_density(self, cfg):
+        # the sampler's Chebyshev series and the barycentric density are one
+        # polynomial summed two ways (3.9e-14 of the largest value measured)
+        s = XSigmaSampler(0.75, cfg)
+        x = np.linspace(0.0, _W_CUT, 10 ** 4)
+        want = _w_table(0.75, cfg).density(x)
+        assert np.max(np.abs(s._dens(x) - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_squeeze_changes_no_decision(self, cfg, monkeypatch):
         s = XSigmaSampler(0.75, cfg)
@@ -376,14 +399,16 @@ class TestKernel:
     def test_positivity(self, cfg, x):
         assert K_sigma(0.75, x, cfg) > 0.0
 
-    def test_value_at_zero_assembles_pieces(self, cfg):
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 2.0, 2.39, 5.0])
+    def test_value_assembles_pieces(self, cfg, x):
+        # K reads W e^{-sigma x} from the W table, 0 from its cut at 2.4 on
         from xi_ineq.modulus import calH
         s_val, t_val = constants(0.75, cfg)
         pref = 2.0 ** 2.25 / math.pi * 0.75 * 0.25 * 0.5
-        want = (pref * calH(0.75, 0.0, cfg)
-                + 0.75 * (s_val - t_val * 0.0625)
-                - 0.25 * (s_val - t_val * 0.5625))
-        assert K_sigma(0.75, 0.0, cfg) == pytest.approx(want, rel=1e-12)
+        want = (pref * calH(0.75, x, cfg)
+                + 0.75 * (s_val - t_val * 0.0625) * math.exp(-0.25 * x)
+                - 0.25 * (s_val - t_val * 0.5625) * math.exp(-0.75 * x))
+        assert K_sigma(0.75, x, cfg) == pytest.approx(want, rel=1e-12)
 
     def test_large_x_exponential_regime(self, cfg):
         # the theta part dies doubly exponentially; only the two closed

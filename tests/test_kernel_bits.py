@@ -20,12 +20,20 @@ the largest, and the one at the middle node) as the table first gave them.
 The rule pins are the SHA-256 digests of the W table's rule arrays and of its
 masses at sigma 0.75, and one fixed-rule transform, as each was first written
 out inside `modulus`; moving the rule into `quadrature` must not move them.
+The masses' digest was re-recorded when `barycentric` summed each point's
+numerator and denominator exactly (math.fsum) instead of by a BLAS product,
+whose rounding depended on the OpenBLAS kernel the CPU selects: the masses are
+within 8.8e-16 of the largest of mpmath's Bessel-K values (7.3e-16 before), and
+the digest is now the same under every kernel, which a subprocess checks.
 The oracle pins are xi(s) at real and complex points as the oracle gave them
 when each of its two passes computed the complex integrand for itself; the
 imaginary pass reading the real pass's values must not move them.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,7 +113,7 @@ BITS_RULE = {   # SHA-256 of the arrays' bytes
     '_FEJER': 'de0ddbe8c5464f3f2559110c8578366574b8687b8690d65d5dc41e031e50201b',
     '_WEIGHTS_T': 'f94fea9449e66e2b09ed0e966fd0efad678675cfb3d0f6e533c203b597685507',
     '_BARY': 'fa3cfd8fab1b58146bd1eb575d7afe2932b9ff43233af7ff94caf0ba194e098b',
-    'w_table_masses_0.75': '6ff37319a76f9b54164f13522fb14f3fb2d0c13bf8676454b4cf6045a26a706e',
+    'w_table_masses_0.75': 'e7055ce5a7d68be5990c437d3ade7f6944d3a23d3c83620909987c78bdc63aea',
     'w_cos_fixed_0.75_5': '0x1.843b0a168a05ap-12',
 }
 
@@ -159,6 +167,19 @@ def test_W_rule_bits():
     got['w_table_masses_0.75'] = digest(modulus._w_table(0.75).masses)
     got['w_cos_fixed_0.75_5'] = modulus.w_cos_fixed(0.75, 5.0).hex()
     assert got == BITS_RULE
+
+
+def test_W_masses_bits_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernel from the CPU; Haswell's is the one a CPU without
+    # AVX-512 runs, whatever kernel the CPU running the tests would pick
+    script = ("import hashlib; from xi_ineq import modulus; "
+              "print(hashlib.sha256(modulus._w_table(0.75).masses.tobytes()).hexdigest())")
+    src = os.path.dirname(os.path.dirname(modulus.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == BITS_RULE['w_table_masses_0.75']
 
 
 @pytest.mark.parametrize("s", list(BITS_XI), ids=str)
