@@ -32,7 +32,7 @@ from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DomainError
 from .modulus import (_W_CUT, _cos_taylor_terms, _scaled_moments, _w_table, constants,
                       modulus_rhs, modulus_rhs_via_J, w_cos_fixed, W_sigma)
-from .quadrature import integrate_finite
+from .quadrature import integrate_finite, libm
 from .theta import sup_constant_C, sup_constant_Cn
 
 
@@ -312,7 +312,8 @@ class XSigmaSampler:
 
         Each candidate reads one row (u0, u1, u2) of uniforms: its gap to the
         previous candidate floor(log1p(-u0) / log1p(-p)) + 1, its proposal
-        x = -log1p(-u1) / sigma, and its acceptance variate p u2.
+        x = -log1p(-u1) / sigma, and its acceptance variate p u2.  An accepted x
+        takes libm's log1p, whose bits, unlike numpy's, do not depend on the CPU.
         """
         rng = np.random.Generator(np.random.Philox(key=seed))
         p = self._accept_ceiling
@@ -330,7 +331,7 @@ class XSigmaSampler:
             maybe = np.nonzero(level < self._squeeze(x))[0]
             pos = maybe[level[maybe] < self.w_table(x[maybe])]
             take = min(n - got, pos.size)
-            out[got:got + take] = x[pos[:take]]
+            out[got:got + take] = -libm(math.log1p, -u[pos[:take], 1]) / self.sigma
             idx[got:got + take] = cand_idx[pos[:take]]
             got += take
             last = int(cand_idx[-1])

@@ -308,7 +308,7 @@ _WEIGHTS_T = _W_CUT / _T_NODES * _FEJER_T      # the transform's rule at _XT
 class WTable:
     """One sigma's record: W e^{-sigma x} `values` at the nodes _X, which `density`
     reads; the Fejer masses w_j W e^{-sigma x_j} at the nodes _XT, so that
-    int_0^inf W e^{-sigma x} cos(tx) dx is cos(t _XT) @ masses; and route B's
+    int_0^inf W e^{-sigma x} cos(tx) dx is fsum(cos(t _XT) * masses); and route B's
     converged result: S_sigma (`s`), T_sigma (`t`), its `err_est` and its
     `truncation` record.  All read-only."""
     values: np.ndarray
@@ -352,8 +352,8 @@ def _w_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> WTable:
 
 def w_cos_fixed(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """int_0^inf W_sigma(x) e^{-sigma x} cos(tx) dx by the fixed 128-node Fejer rule
-    on `_w_table`'s certified density: one dot product per t."""
-    return float(np.cos(t * _XT) @ _w_table(sigma, cfg).masses)
+    on `_w_table`'s certified density: one exactly summed (math.fsum) product per t."""
+    return math.fsum((np.cos(t * _XT) * _w_table(sigma, cfg).masses).tolist())
 
 
 def _cos_taylor_terms(sigma: float, N1: int, n_hi: int, t: float, cfg: EvalConfig):
@@ -366,7 +366,8 @@ def _cos_taylor_terms(sigma: float, N1: int, n_hi: int, t: float, cfg: EvalConfi
     k = np.arange(1, n_hi + 1)
     steps = np.outer(1.0 / ((2 * k - 1) * (2 * k)), (t * xs) ** 2)
     powers = np.vstack([np.ones_like(xs), np.cumprod(steps, axis=0)])
-    return powers @ (b / _NODES * _FEJER * dens)
+    # numpy's pairwise sum, not a BLAS product, whose rounding depends on the kernel
+    return (powers * (b / _NODES * _FEJER * dens)).sum(axis=1)
 
 
 def _scaled_moments(sigma: float, N1: int, n_hi: int, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
@@ -624,7 +625,7 @@ def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
     W e^{-sigma x}, which the fixed rule reads from `_jeta_table`'s masses.
     """
     table = _jeta_table(tau, cfg)
-    dbl = 0.25 * float(np.cos(t * _XT) @ table.masses)
+    dbl = 0.25 * math.fsum((np.cos(t * _XT) * table.masses).tolist())
     quartic = 4.0 * ((t * t + tau * tau + 0.25) ** 2 - tau * tau)
     return quartic * dbl + (t * t + 2.0 * tau * tau + 0.25) * table.lin - table.cub
 
@@ -635,11 +636,11 @@ def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
 
 def a_coeff(tau: float, k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """a_tau(k) = 2^{2k+1} int int (ln x)^{2k} J_tau(x^2 y) eta_tau(y) dx dy, which is
-    half the moment int x^{2k} W e^{-sigma x} dx: one product with `_jeta_table`'s
-    masses."""
+    half the moment int x^{2k} W e^{-sigma x} dx: one exactly summed (math.fsum)
+    product with `_jeta_table`'s masses."""
     if k < 0:
         raise DomainError(f"a_coeff needs k >= 0, got {k!r}")
-    return 0.5 * float(_XT ** (2 * k) @ _jeta_table(tau, cfg).masses)
+    return 0.5 * math.fsum((_XT ** (2 * k) * _jeta_table(tau, cfg).masses).tolist())
 
 
 _K_MAX = 85     # (2k)! is a finite double up to k = 85: 170! ~ 7.3e306

@@ -3,8 +3,9 @@ the node tables.
 
 One adaptive entry point:
 
-  integrate_finite          adaptive Gauss-Kronrod 7/15 on [a, b], its accepted
-                            panels summed exactly (math.fsum); a caller on a
+  integrate_finite          adaptive Gauss-Kronrod 7/15 on [a, b] of a real or
+                            complex integrand, its accepted panels summed
+                            exactly (math.fsum, part by part); a caller on a
                             decaying integrand passes the upper limit
                             (cfg.truncation_point), and one on an oscillating
                             integrand presplits with `min_panels` so that no
@@ -37,6 +38,7 @@ at most (the sampler sums its own Chebyshev series instead).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -83,16 +85,17 @@ _WG = (
 @dataclass
 class QuadResult:
     """One integral's result, or a batch's: a batched `integrate_trapezoid` gives
-    value and err_est as arrays with one entry a row, and evals for all rows."""
-    value: float
+    value and err_est as arrays with one entry a row, and evals for all rows; a
+    complex integrand a complex value."""
+    value: float | complex
     err_est: float
     evals: int
     converged: bool = True
 
 
-def _eval(f: Callable[[float], float], x: float) -> float:
+def _eval(f: Callable[[float], float | complex], x: float) -> float | complex:
     fx = f(x)
-    if not math.isfinite(fx):
+    if not cmath.isfinite(fx):
         raise EvaluationError(f"integrand returned {fx!r} at x={x!r}", abscissa=x)
     return fx
 
@@ -132,7 +135,7 @@ def _gk15(f, a, b):
 
 
 def integrate_finite(
-    f: Callable[[float], float],
+    f: Callable[[float], float | complex],
     a: float,
     b: float,
     cfg: EvalConfig,
@@ -140,7 +143,8 @@ def integrate_finite(
 ) -> QuadResult:
     """Adaptive bisection with the embedded 7/15 pair; the accepted panels'
     values are summed exactly (math.fsum), so the order they settle in does not
-    matter.
+    matter.  A complex f (error estimates by modulus) gives a complex value, whose
+    real and imaginary parts are summed exactly each on its own.
 
     The first panel samples 15 abscissae, so a feature much narrower than
     (b-a)/15 can hide between nodes; callers integrating a wide window around
@@ -180,7 +184,10 @@ def integrate_finite(
         stack.append((mid, hi, half, depth + 1))
         stack.append((lo, mid, half, depth + 1))
 
-    result = QuadResult(math.fsum(values), err_total, evals, converged=not exhausted)
+    value = math.fsum(v.real for v in values)
+    if any(isinstance(v, complex) for v in values):
+        value = complex(value, math.fsum(v.imag for v in values))
+    result = QuadResult(value, err_total, evals, converged=not exhausted)
     if exhausted:
         raise ConvergenceError(
             f"depth {cfg.quad_max_depth} exhausted on [{a}, {b}]; "
@@ -223,7 +230,6 @@ def integrate_eta_weighted(
     cfg: EvalConfig,
     decay_rate: float = 2.0 * math.pi,
     scale: float = 1.0,
-    cutoff=None,
 ) -> QuadResult:
     """int_1^inf g(y) eta_tau(y) dy with eta's inverse-square-root singularity
     removed by y = cosh(u):
@@ -232,13 +238,12 @@ def integrate_eta_weighted(
 
     by `integrate_trapezoid`: the integrand is even in u, and analytic where g
     is.  `decay_rate` bounds g as |g(y)| <= scale*exp(-decay_rate*y), which sets
-    the cutoff unless `cutoff` is given.  An array of decay rates (or of cutoffs)
-    makes a batch, one row (one integral) each, in one engine call.  g(y, rows)
-    maps an (r, n) array of y to the (r, n) array of values, `rows` holding the
-    batch indices of its r rows, as in `integrate_trapezoid`; a batch gives
-    arrays back.
+    the cutoff (`eta_cosh_cutoff`).  An array of decay rates makes a batch, one
+    row (one integral) each, in one engine call.  g(y, rows) maps an (r, n) array
+    of y to the (r, n) array of values, `rows` holding the batch indices of its r
+    rows, as in `integrate_trapezoid`; a batch gives arrays back.
     """
-    u_max = eta_cosh_cutoff(tau, decay_rate, cfg, scale) if cutoff is None else cutoff
+    u_max = eta_cosh_cutoff(tau, decay_rate, cfg, scale)
 
     def integrand(u, rows):
         return g(libm(math.cosh, u), rows) * 2.0 * libm(math.cosh, tau * u)

@@ -56,27 +56,13 @@ def psi_theta(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 def xi(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Entire completed-zeta evaluation; satisfies xi(s) = xi(1-s).
 
-    The real and imaginary parts are two adaptive integrals of one complex
-    integrand on [1, cfg.truncation_point(pi, 2)]; within a call it is computed
-    once per abscissa, and the imaginary pass reads the values the real pass
-    left (not a cache across calls)."""
+    One adaptive integral of the complex integrand on [1, cfg.truncation_point(pi, 2)],
+    its real and imaginary parts summed exactly each on their own."""
     s = complex(s)
-    values = {}
-
-    def integrand(x):
-        value = values.get(x)
-        if value is None:
-            value = (x ** (0.5 * s - 1.0) + x ** (-0.5 * (s + 1.0))) * psi_theta(x, cfg)
-            values[x] = value
-        return value
-
     x_max = cfg.truncation_point(_PSI_DECAY, 2.0)
-    re = integrate_finite(lambda x: integrand(x).real, 1.0, x_max, cfg)
-    if s.imag == 0.0:
-        integral = complex(re.value, 0.0)
-    else:
-        im = integrate_finite(lambda x: integrand(x).imag, 1.0, x_max, cfg)
-        integral = complex(re.value, im.value)
+    integral = integrate_finite(
+        lambda x: (x ** (0.5 * s - 1.0) + x ** (-0.5 * (s + 1.0))) * psi_theta(x, cfg),
+        1.0, x_max, cfg).value
     return 0.5 + 0.5 * s * (s - 1.0) * integral
 
 

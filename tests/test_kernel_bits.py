@@ -26,8 +26,11 @@ whose rounding depended on the OpenBLAS kernel the CPU selects: the masses are
 within 8.8e-16 of the largest of mpmath's Bessel-K values (7.3e-16 before), and
 the digest is now the same under every kernel, which a subprocess checks.
 The oracle pins are xi(s) at real and complex points as the oracle gave them
-when each of its two passes computed the complex integrand for itself; the
-imaginary pass reading the real pass's values must not move them.
+when each of its two passes computed the complex integrand for itself.  They
+were re-recorded when one adaptive pass integrated the complex integrand: every
+real part held, and the imaginary part at 0.6 - 14.2i moved from
+-0x1.0c261d7e64240p-13 to -0x1.0c261d7e64200p-13, both 9.21e-11 of |xi| from
+mpmath's Gamma-zeta value.
 """
 
 import hashlib
@@ -120,7 +123,7 @@ BITS_RULE = {   # SHA-256 of the arrays' bytes
 BITS_XI = {   # s: (Re xi(s), Im xi(s))
     0.75: ('0x1.fdc98abad5d5ep-2', '0x0.0p+0'),
     0.741 - 5j: ('0x1.1a1e68a137c32p-2', '-0x1.06d42d3163ba3p-6'),
-    0.6 - 14.2j: ('-0x1.8c8fc3e2ac000p-14', '-0x1.0c261d7e64240p-13'),
+    0.6 - 14.2j: ('-0x1.8c8fc3e2ac000p-14', '-0x1.0c261d7e64200p-13'),
     0.3 + 2j: ('0x1.d054d5b1178a3p-2', '-0x1.14747d078bf16p-7'),
 }
 
@@ -169,17 +172,70 @@ def test_W_rule_bits():
     assert got == BITS_RULE
 
 
+def _run(script, **env):
+    """The stdout of `script` run by this interpreter in a fresh process, with the
+    package on its path and the environment variables `env` set."""
+    src = os.path.dirname(os.path.dirname(modulus.__file__))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return done.stdout.strip()
+
+
 def test_W_masses_bits_do_not_depend_on_the_blas_kernel():
     # OpenBLAS picks its kernel from the CPU; Haswell's is the one a CPU without
     # AVX-512 runs, whatever kernel the CPU running the tests would pick
     script = ("import hashlib; from xi_ineq import modulus; "
               "print(hashlib.sha256(modulus._w_table(0.75).masses.tobytes()).hexdigest())")
-    src = os.path.dirname(os.path.dirname(modulus.__file__))
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert done.stdout.strip() == BITS_RULE['w_table_masses_0.75']
+    assert _run(script, OPENBLAS_CORETYPE="Haswell") == BITS_RULE['w_table_masses_0.75']
+
+
+# one digest of every fixed-rule read: the transform, both representation routes,
+# a(k) and the Taylor table of the polynomial criterion
+FIXED_RULE_READS = """
+import hashlib
+from xi_ineq import modulus
+ts = [0.25 * k for k in range(121)]
+values = [modulus.w_cos_fixed(0.75, t) for t in ts]
+values += [modulus.modulus_rhs_via_J(0.25, t) for t in ts]
+values += [modulus.modulus_rhs(0.75, t) for t in ts]
+values += [modulus.a_coeff(0.25, k) for k in range(30)]
+values += modulus._cos_taylor_terms(0.75, 20, 60, 3.0, modulus.DEFAULT_CONFIG).tolist()
+print(hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest())
+"""
+
+
+def test_fixed_rule_reads_do_not_depend_on_the_blas_kernel():
+    # Prescott's kernel is the plainest OpenBLAS has; Haswell's is AVX2's
+    assert (_run(FIXED_RULE_READS, OPENBLAS_CORETYPE="Haswell")
+            == _run(FIXED_RULE_READS, OPENBLAS_CORETYPE="Prescott"))
+
+
+def _avx512_dispatch_targets():
+    """The AVX-512 targets numpy dispatches to on this CPU, by the names of the
+    installed numpy (numpy 1.x calls them AVX512F, AVX512_SKX, ...; 2.x X86_V4,
+    AVX512_ICL, ...)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    features = umath.__cpu_features__
+    return [name for name in umath.__cpu_dispatch__
+            if features.get(name) and (name.startswith("AVX512") or name == "X86_V4")]
+
+
+def test_sampler_draws_do_not_depend_on_numpy_dispatch():
+    # numpy's vector log1p differs in the last bit between its AVX-512 and AVX2
+    # paths; an accepted draw's value must not
+    targets = _avx512_dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no AVX-512 target on this CPU")
+    script = ("import hashlib; from xi_ineq.inequality import XSigmaSampler\n"
+              "for sigma in (0.6, 0.75, 0.9):\n"
+              "    draws = XSigmaSampler(sigma).sample(20000, 2)[0]\n"
+              "    print(hashlib.sha256(draws.tobytes()).hexdigest())")
+    assert _run(script) == _run(script, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
 
 
 @pytest.mark.parametrize("s", list(BITS_XI), ids=str)

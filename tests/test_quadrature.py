@@ -1,9 +1,11 @@
+import cmath
 import math
 from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import kv
 
 from xi_ineq.config import DEFAULT_CONFIG, EvalConfig, config_cache, config_from_mapping
 from xi_ineq.errors import ConvergenceError, EvaluationError
@@ -23,7 +25,7 @@ def cos_transform(f, t, cfg):
 class TestFinite:
     def test_polynomial(self, cfg):
         r = integrate_finite(lambda x: x * x, 0.0, 1.0, cfg)
-        assert abs(r.value - 1.0 / 3.0) < 1e-13
+        assert type(r.value) is float and abs(r.value - 1.0 / 3.0) < 1e-13
         assert r.err_est >= 0.0 and r.evals >= 15 and r.converged
 
     def test_sine(self, cfg):
@@ -67,6 +69,17 @@ class TestFinite:
     def test_bad_interval(self, cfg):
         with pytest.raises(ValueError):
             integrate_finite(math.sin, 1.0, 1.0, cfg)
+
+    @pytest.mark.parametrize("a", [1.0, 7.5])
+    def test_complex_integrand(self, cfg, a):
+        r = integrate_finite(lambda x: cmath.exp(1j * a * x), 0.0, 1.0, cfg)
+        assert isinstance(r.value, complex)
+        assert abs(r.value - (cmath.exp(1j * a) - 1.0) / (1j * a)) < 1e-13
+
+    def test_nonfinite_complex_integrand_raises(self, cfg):
+        with pytest.raises(EvaluationError):
+            integrate_finite(lambda x: complex(1.0, float("nan")) if x > 0.5 else 1j,
+                             0.0, 1.0, cfg)
 
     def test_panel_values_are_summed_exactly(self, cfg):
         # four constant panels 1e16, 1, -1e16, 1: a plain running sum loses a 1
@@ -113,11 +126,14 @@ class TestEtaWeighted:
         assert abs(r.value - offset) <= bias + r.err_est + 1e-10
         assert abs(r.value - offset) <= 1e-7
 
-    def test_windowed_closed_form(self, cfg):
-        # int_1^2 eta_0(y) dy = 2 arccosh(2)
-        r = integrate_eta_weighted(lambda y, rows: np.where(y <= 2.0, 1.0, 0.0), 0.0, cfg,
-                                   cutoff=math.acosh(2.0))
-        assert abs(r.value - 2.0 * math.acosh(2.0)) < 1e-12
+    @pytest.mark.parametrize("tau", [0.0, 0.25])
+    @pytest.mark.parametrize("a", [1.0, 3.0])
+    def test_bessel_k_closed_form(self, cfg, tau, a):
+        # int_1^inf e^{-a y} eta_tau(y) dy = 2 int_0^inf e^{-a cosh u} cosh(tau u) du
+        # = 2 K_tau(a)
+        r = integrate_eta_weighted(lambda y, rows: libm(math.exp, -a * y), tau, cfg,
+                                   decay_rate=a)
+        assert abs(r.value - 2.0 * kv(tau, a)) <= 1e-13 * 2.0 * kv(tau, a)
 
     def test_linearity(self, cfg):
         g = lambda y, rows: np.exp(-3.0 * y)

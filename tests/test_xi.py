@@ -58,7 +58,7 @@ class TestXi:
 
     @pytest.mark.parametrize("s", [complex(0.75, -5.0), complex(0.6, 14.2)])
     def test_one_integrand_value_per_abscissa(self, cfg, monkeypatch, s):
-        # the imaginary pass reads the values of the real one
+        # one pass over the complex integrand values each abscissa once
         xs = []
         psi = xi_module.psi_theta
 
@@ -69,6 +69,19 @@ class TestXi:
         monkeypatch.setattr(xi_module, "psi_theta", counted)
         xi(s, cfg)
         assert len(xs) == len(set(xs)) > 0
+
+
+    @pytest.mark.parametrize("s", [complex(0.75, -5.0), 0.75])
+    def test_one_adaptive_integral_per_call(self, cfg, monkeypatch, s):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate_finite(*args, **kwargs)
+
+        monkeypatch.setattr(xi_module, "integrate_finite", counted)
+        xi(s, cfg)
+        assert len(calls) == 1
 
 
 class TestModSq:
