@@ -12,8 +12,10 @@ Subcommands
 
 Exit codes: 0 all checks pass; 1 a mathematical check failed (evidence in the
 report); 2 numerical/convergence failure or indeterminate; 3 usage error.
-Reports serialize floats with 17 significant digits so JSON round-trips binary64
-exactly, and repeated runs with one seed are byte-identical up to `timestamp`.
+Reports write each float as Python's repr, the shortest string that parses
+back to the same binary64, so JSON round-trips exactly (infinities and nan as
+Infinity and NaN); repeated runs with one seed are byte-identical up to
+`timestamp`.
 """
 
 from __future__ import annotations
@@ -48,44 +50,9 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_EXIT_USAGE)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _to_json(obj, out: list) -> None:
-    """Minimal serializer: floats rendered with 17 significant digits."""
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _to_json(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _to_json(v, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, float):
-        out.append(_fmt(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        out.append(json.dumps(str(obj)))
-
-
 def render_json(obj) -> str:
-    out: list = []
-    _to_json(obj, out)
-    return "".join(out) + "\n"
+    """The report as one line of compact JSON; objects JSON lacks become strings."""
+    return json.dumps(obj, separators=(",", ":"), default=str) + "\n"
 
 
 def render_csv(rows: list) -> str:
@@ -94,14 +61,15 @@ def render_csv(rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) if isinstance(row[c], float) else row[c]
-                         for c in columns])
+    writer.writerows([row[c] for c in columns] for row in rows)
     return buf.getvalue()
 
 
-def _report(command: str, inputs: dict, outputs: dict, status: str) -> dict:
-    return {
+def _finish(args, command: str, inputs: dict, outputs: dict, rows: list,
+            status: str) -> int:
+    """Write the report (or, under --format csv, its rows) to --out or stdout and
+    return the exit code of `status`: pass 0, fail 1, anything else 2."""
+    report = {
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
@@ -109,15 +77,13 @@ def _report(command: str, inputs: dict, outputs: dict, status: str) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "library_version": __version__,
     }
-
-
-def _emit(args, report: dict, rows: list) -> None:
     text = render_csv(rows) if args.format == "csv" else render_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return {"pass": _EXIT_PASS, "fail": _EXIT_FAIL}.get(status, _EXIT_NUMERIC)
 
 
 def _finite_float(text: str) -> float:
@@ -138,10 +104,6 @@ def _floats(text: str) -> list:
     if not values:
         raise argparse.ArgumentTypeError(f"empty list: {text!r}")
     return values
-
-
-def _status_exit(status: str) -> int:
-    return {"pass": _EXIT_PASS, "fail": _EXIT_FAIL}.get(status, _EXIT_NUMERIC)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +144,10 @@ def cmd_constants(args, cfg: EvalConfig) -> int:
                 agree_ok &= abs(t1 - t0) <= 1e-6 * abs(t0)
 
     status = "pass" if (agree_ok and signs_ok) else "fail"
-    outputs = {"rows": rows, "sign_facts_ok": signs_ok, "methods_agree": agree_ok}
-    report = _report("constants", {"sigma": sigmas, "methods": methods,
-                                   "paper_truncation": args.paper_truncation}, outputs, status)
-    _emit(args, report, rows)
-    return _status_exit(status)
+    return _finish(args, "constants", {"sigma": sigmas, "methods": methods,
+                                       "paper_truncation": args.paper_truncation},
+                   {"rows": rows, "sign_facts_ok": signs_ok, "methods_agree": agree_ok},
+                   rows, status)
 
 
 def cmd_verify_modulus(args, cfg: EvalConfig) -> int:
@@ -208,12 +169,9 @@ def cmd_verify_modulus(args, cfg: EvalConfig) -> int:
     worst = max(row["rel_err"] for row in rows)
     worst_j = max(row["rel_err_J"] for row in rows)
     status = "pass" if (worst <= 1e-6 and worst_j <= 1e-5) else "fail"
-    report = _report("verify-modulus",
-                     {"sigma": sigmas, "t": ts},
-                     {"rows": rows, "max_rel_err": worst, "max_rel_err_J": worst_j},
-                     status)
-    _emit(args, report, rows)
-    return _status_exit(status)
+    return _finish(args, "verify-modulus", {"sigma": sigmas, "t": ts},
+                   {"rows": rows, "max_rel_err": worst, "max_rel_err_J": worst_j},
+                   rows, status)
 
 
 def cmd_scan(args, cfg: EvalConfig) -> int:
@@ -234,11 +192,9 @@ def cmd_scan(args, cfg: EvalConfig) -> int:
             status = "fail"          # a certified nonpositive value is major news
         elif rep.indeterminate and status == "pass":
             status = "indeterminate"
-    report = _report("scan", {"sigma": sigmas, "t_max": args.t_max,
-                              "step": args.step, "route": args.route},
-                     {"rows": rows, "summaries": summaries}, status)
-    _emit(args, report, rows)
-    return _status_exit(status)
+    return _finish(args, "scan", {"sigma": sigmas, "t_max": args.t_max,
+                                  "step": args.step, "route": args.route},
+                   {"rows": rows, "summaries": summaries}, rows, status)
 
 
 def cmd_coeffs(args, cfg: EvalConfig) -> int:
@@ -261,13 +217,11 @@ def cmd_coeffs(args, cfg: EvalConfig) -> int:
     match = abs(partial - oracle) <= 1e-5 * abs(oracle)
     ok &= match
     status = "pass" if ok else "fail"
-    report = _report("coeffs", {"sigma": sigma, "kmax": args.kmax,
-                                "t_check": args.t_check},
-                     {"rows": rows, "partial_sum_at_t_check": partial,
-                      "oracle_at_t_check": oracle, "partial_sum_matches": match},
-                     status)
-    _emit(args, report, rows)
-    return _status_exit(status)
+    return _finish(args, "coeffs", {"sigma": sigma, "kmax": args.kmax,
+                                    "t_check": args.t_check},
+                   {"rows": rows, "partial_sum_at_t_check": partial,
+                    "oracle_at_t_check": oracle, "partial_sum_matches": match},
+                   rows, status)
 
 
 def cmd_montecarlo(args, cfg: EvalConfig) -> int:
@@ -302,11 +256,9 @@ def cmd_montecarlo(args, cfg: EvalConfig) -> int:
         status = "indeterminate"
     else:
         status = "pass"
-    report = _report("montecarlo", {"sigma": sigma, "t": args.t_list,
-                                    "samples": args.samples, "seed": args.seed},
-                     {"rows": rows}, status)
-    _emit(args, report, rows)
-    return _status_exit(status)
+    return _finish(args, "montecarlo", {"sigma": sigma, "t": args.t_list,
+                                        "samples": args.samples, "seed": args.seed},
+                   {"rows": rows}, rows, status)
 
 
 def cmd_autocorr(args, cfg: EvalConfig) -> int:
@@ -318,12 +270,10 @@ def cmd_autocorr(args, cfg: EvalConfig) -> int:
     a0_ok = abs(values[0] - 1.0) <= 1e-12
     bounded = all(abs(v) <= 1.0 + 1e-9 for v in values)
     status = "pass" if (a0_ok and bounded and scan["iota_found"] is None) else "fail"
-    report = _report("autocorr", {"sigma": sigma, "t_max": args.t_max,
-                                  "step": args.step},
-                     {"rows": rows, "zero_scan": scan, "a0_is_one": a0_ok,
-                      "bounded_by_one": bounded}, status)
-    _emit(args, report, rows)
-    return _status_exit(status)
+    return _finish(args, "autocorr", {"sigma": sigma, "t_max": args.t_max,
+                                      "step": args.step},
+                   {"rows": rows, "zero_scan": scan, "a0_is_one": a0_ok,
+                    "bounded_by_one": bounded}, rows, status)
 
 
 _PUBLISHED = {
@@ -345,11 +295,8 @@ def cmd_reproduce_appendix(args, cfg: EvalConfig) -> int:
                          "published": want, "rel_err": rel,
                          "matches_1e4": rel <= 1e-4,
                          "truncation": json.dumps(rep.truncation)})
-    status = "pass" if ok else "fail"
-    report = _report("reproduce-appendix", {"sigma": 0.75},
-                     {"rows": rows}, status)
-    _emit(args, report, rows)
-    return _status_exit(status)
+    return _finish(args, "reproduce-appendix", {"sigma": 0.75}, {"rows": rows},
+                   rows, "pass" if ok else "fail")
 
 
 def cmd_selftest(args, cfg: EvalConfig) -> int:
@@ -397,11 +344,8 @@ def cmd_selftest(args, cfg: EvalConfig) -> int:
     a0 = autocorrelation_A(0.75, 0.0, cfg)
     check("autocorr_at_0", abs(a0 - 1.0) < 1e-12, a0)
 
-    ok = all(c["ok"] for c in checks)
-    status = "pass" if ok else "fail"
-    report = _report("selftest", {}, {"checks": checks}, status)
-    _emit(args, report, checks)
-    return _status_exit(status)
+    status = "pass" if all(c["ok"] for c in checks) else "fail"
+    return _finish(args, "selftest", {}, {"checks": checks}, checks, status)
 
 
 # ---------------------------------------------------------------------------

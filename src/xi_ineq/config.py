@@ -85,13 +85,7 @@ def config_cache(maxsize: int):
 
 
 # keys accepted in a flat "key = value" config file, mapped to field types
-_FIELD_TYPES = {
-    "series_tol": float,
-    "series_max_terms": int,
-    "quad_rel_tol": float,
-    "quad_abs_tol": float,
-    "quad_max_depth": int,
-}
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(EvalConfig)}
 
 
 def parse_config_text(text: str) -> dict:

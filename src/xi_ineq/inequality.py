@@ -27,12 +27,13 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebvander
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DomainError
-from .modulus import (_W_CUT, _cos_taylor_terms, _scaled_moments, _w_table, constants,
+from .modulus import (_W_CUT, _X, _cos_taylor_terms, _scaled_moments, _w_table, constants,
                       modulus_rhs, modulus_rhs_via_J, w_cos_fixed, W_sigma)
-from .quadrature import integrate_finite, libm
+from .quadrature import _row_fsums, integrate_finite, libm
 from .theta import sup_constant_C, sup_constant_Cn
 
 
@@ -254,9 +255,11 @@ class XSigmaSampler:
 
     Proposal: Exponential(sigma).  Acceptance: u < W_sigma(x) / (2 C^2), valid
     because W_sigma < 2 C^2 uniformly; W is e^{sigma x} times the Chebyshev
-    series of `_w_table`'s density, summed by Clenshaw's recurrence in O(len(x))
-    memory, clamped at 0 and cut at _W_CUT.  The ceiling grid, the acceptance
-    test, the slope bound and the CDF read that one series.  On each bin of a
+    series through `_w_table`'s node values (an exactly summed transform of
+    them, so no coefficient depends on the BLAS kernel), summed by Clenshaw's
+    recurrence in O(len(x)) memory, clamped at 0 and cut at _W_CUT.  The
+    ceiling grid, the acceptance test, the slope bound and the CDF read that
+    one series.  On each bin of a
     uniform grid W is at most its larger end value plus half the step times a
     bound on |W'|.
     Proposals with u at or above the ceiling p = (largest bin bound) / (2 C^2)
@@ -278,10 +281,13 @@ class XSigmaSampler:
             raise DomainError(f"sampler needs sigma in (1/2,1), got {sigma!r}")
         self.sigma = sigma
         self.envelope = 2.0 * sup_constant_C(cfg) ** 2
-        table = _w_table(sigma, cfg)
-        # the density's Chebyshev coefficients bound |W'| = |(dens' + sigma dens) e^{sigma x}|
-        self._dens = dens = Chebyshev.interpolate(table.density, table.values.size - 1,
-                                                  [0.0, _W_CUT])
+        # the interpolant's coefficients are the node values' discrete cosine
+        # transform; they bound |W'| = |(dens' + sigma dens) e^{sigma x}|
+        values = _w_table(sigma, cfg).values
+        coef = (_row_fsums(chebvander(2.0 * _X / _W_CUT - 1.0, values.size - 1).T * values)
+                * (2.0 / values.size))
+        coef[0] *= 0.5
+        self._dens = dens = Chebyshev(coef, [0.0, _W_CUT])
         slope = (np.abs(dens.deriv().coef).sum()
                  + sigma * np.abs(dens.coef).sum()) * math.exp(sigma * _W_CUT)
         ws = self.w_table(np.linspace(0.0, _W_CUT, self._GRID))

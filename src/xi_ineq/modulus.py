@@ -105,8 +105,6 @@ def F_sigma(sigma: float, lam: float, deriv: int = 0, form: str = "direct",
 
     form="direct": the singular-kernel integral with the endpoint singularity
     removed by y = 2(cosh u - 1), valid for every deriv.
-    form="eta": the weight-integral form 2^{-(sigma+1/2)} int_1^inf
-    lam e^{-2 lam y} eta_{sigma-1/2}(y) dy, deriv=0 only.
     form="raw": the untransformed y-integral on `bounds`, integrable because the
     lower bound stays off the singularity; used by fixed-truncation reproduction.
     """
@@ -128,14 +126,6 @@ def F_sigma(sigma: float, lam: float, deriv: int = 0, form: str = "direct",
         # F spans e^{-2 lam} scales; only relative acceptance keeps large lam honest
         return integrate_finite(integrand, 0.0, _f_cosh_cutoff(lam, cfg),
                                 replace(cfg, quad_abs_tol=RELATIVE_ONLY)).value
-
-    if form == "eta":
-        if deriv != 0:
-            raise ValueError("form='eta' supports deriv=0 only")
-        result = integrate_eta_weighted(
-            lambda y, rows: lam * libm(math.exp, -2.0 * lam * y), tau, cfg,
-            decay_rate=2.0 * lam, scale=lam)
-        return 2.0 ** (-(sigma + 0.5)) * result.value
 
     if form == "raw":
         a, b = bounds
@@ -321,8 +311,8 @@ class WTable:
     def density(self, x: np.ndarray) -> np.ndarray:
         """The polynomial through `values` at the nodes _X, at the points x (1-d), by the
         barycentric form, which keeps its accuracy where the density is tiny.  Its readers
-        ask for at most a few hundred points; the sampler fits its own Chebyshev series to
-        this polynomial at 64 points and sums that on its many points."""
+        ask for at most a few hundred points; the sampler takes the Chebyshev series of
+        this polynomial from `values` and sums that on its many points."""
         return barycentric(self.values, _X, _BARY, x)
 
 

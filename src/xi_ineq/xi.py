@@ -219,7 +219,7 @@ def xi_mod_sq_via_U(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
     Fejer rule on [0, _U_SUPPORT] over `_u_table`'s certified node values: one
     exactly summed (math.fsum) product per t.  Past the cut U is below 1e-30 of
     U(0)."""
-    return 0.5 * math.fsum(np.cos(t * _U_X) * (_U_WEIGHTS * _u_table(sigma, cfg)))
+    return 0.5 * math.fsum((np.cos(t * _U_X) * (_U_WEIGHTS * _u_table(sigma, cfg))).tolist())
 
 
 def density_Pbar(sigma: float, y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:

@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import re
@@ -52,6 +53,10 @@ class TestSerialization:
         text = render_json({"v": values})
         parsed = json.loads(text)
         assert parsed["v"] == values
+
+    def test_nonfinite_floats_round_trip(self):
+        parsed = json.loads(render_json({"v": [math.inf, -math.inf, math.nan]}))["v"]
+        assert parsed[:2] == [math.inf, -math.inf] and math.isnan(parsed[2])
 
     def test_shapes(self):
         text = render_json({"a": [1, True, None, "x"], "b": {"c": 0.5}})

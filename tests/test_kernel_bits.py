@@ -192,16 +192,22 @@ def test_W_masses_bits_do_not_depend_on_the_blas_kernel():
 
 
 # one digest of every fixed-rule read: the transform, both representation routes,
-# a(k) and the Taylor table of the polynomial criterion
+# a(k), the Taylor table of the polynomial criterion, and the sampler's Chebyshev
+# series with its CDF
 FIXED_RULE_READS = """
 import hashlib
+import numpy as np
 from xi_ineq import modulus
+from xi_ineq.inequality import XSigmaSampler
 ts = [0.25 * k for k in range(121)]
 values = [modulus.w_cos_fixed(0.75, t) for t in ts]
 values += [modulus.modulus_rhs_via_J(0.25, t) for t in ts]
 values += [modulus.modulus_rhs(0.75, t) for t in ts]
 values += [modulus.a_coeff(0.25, k) for k in range(30)]
 values += modulus._cos_taylor_terms(0.75, 20, 60, 3.0, modulus.DEFAULT_CONFIG).tolist()
+sampler = XSigmaSampler(0.75)
+values += sampler._dens.coef.tolist()
+values += sampler.cdf(np.linspace(0.0, modulus._W_CUT, 1001)).tolist()
 print(hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest())
 """
 
