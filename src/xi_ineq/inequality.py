@@ -11,8 +11,10 @@ and the probabilistic rereadings of it:
   * the Monte-Carlo reading (E[cos(t X_sigma)] against a closed bound) with a
     rejection sampler whose proposal is exponential and whose envelope is the
     uniform bound W_sigma < 2 C^2: one draw per call serves every t;
-  * the positive kernel K_sigma, its Fourier transform, the normalized
-    autocorrelation A_sigma(t), and the search for its first zero.
+  * the positive kernel K_sigma, its Fourier transform (the representation
+    over the quartic poly(t), read from `modulus_rhs`), the normalized
+    autocorrelation A_sigma(t), and the search for its first zero, which
+    values A once at each grid point.
 
 Every per-sigma object they read (S and T, the density of W e^{-sigma x}, its
 moments and its cosine transform) comes from the one record `modulus._w_table`;
@@ -404,21 +406,18 @@ def K_sigma(sigma: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 
 
 def K_fourier(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """2 int_0^inf K_sigma(x) cos(tx) dx.
+    """2 int_0^inf K_sigma(x) cos(tx) dx = 4 sigma(1-sigma)(2 sigma-1) |xi(sigma-it)|^2 / poly(t),
+    poly(t) = (t^2+(1-sigma)^2)(t^2+sigma^2).
 
-    The two exponential tails transform in closed form (2a/(a^2+t^2)); the
-    Hcal part rides the same cosine transform as the modulus representation.
+    The exponential tails of K_sigma transform to 2a/(a^2+t^2), and their partial
+    fractions sum to 2 sigma(1-sigma)(2 sigma-1)(S + T t^2)/poly(t); with the Hcal
+    part's transform this is the representation over poly, so K^ reads `modulus_rhs`.
     DomainError outside sigma in (1/2, 1), where K_sigma is not the positive kernel.
     """
     if not 0.5 < sigma < 1.0:
         raise DomainError(f"K_fourier needs sigma in (1/2,1), got {sigma!r}")
-    s_val, t_val = constants(sigma, cfg)
-    h_part = (sigma * (1.0 - sigma) * (2.0 * sigma - 1.0)
-              * 2.0 * w_cos_fixed(sigma, t, cfg))
-    a1 = 1.0 - sigma
-    e1 = sigma * (s_val - t_val * (1.0 - sigma) ** 2) * 2.0 * a1 / (a1 * a1 + t * t)
-    e2 = (1.0 - sigma) * (s_val - t_val * sigma * sigma) * 2.0 * sigma / (sigma * sigma + t * t)
-    return h_part + e1 - e2
+    poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
+    return 4.0 * sigma * (1.0 - sigma) * (2.0 * sigma - 1.0) * modulus_rhs(sigma, t, cfg) / poly
 
 
 def autocorrelation_A(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -429,7 +428,8 @@ def autocorrelation_A(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) 
 def bisect_zero(f: Callable[[float], float], a: float, b: float,
                 fa: Optional[float] = None, fb: Optional[float] = None,
                 xtol: float = 1e-10) -> float:
-    """Plain bisection for a bracketed sign change."""
+    """Plain bisection for a bracketed sign change, to xtol or to the float spacing
+    of the bracket, whichever is wider."""
     fa = f(a) if fa is None else fa
     fb = f(b) if fb is None else fb
     if fa == 0.0:
@@ -438,8 +438,8 @@ def bisect_zero(f: Callable[[float], float], a: float, b: float,
         return b
     if fa * fb > 0.0:
         raise ValueError("endpoints do not bracket a sign change")
-    while b - a > xtol:
-        m = 0.5 * (a + b)
+    m = 0.5 * (a + b)
+    while b - a > xtol and a < m < b:
         fm = f(m)
         if fm == 0.0:
             return m
@@ -447,50 +447,47 @@ def bisect_zero(f: Callable[[float], float], a: float, b: float,
             b, fb = m, fm
         else:
             a, fa = m, fm
-    return 0.5 * (a + b)
+        m = 0.5 * (a + b)
+    return m
 
 
 def scan_for_zero(f: Callable[[float], float], t_lo: float, t_max: float,
                   step: float, noise_floor: float = 0.0) -> dict:
     """Walk the floats k * step in [t_lo, t_max], the grid of `scan_inequality`
-    and the CLI, for a sign change of f; bisect the first one found to 1e-10.
+    and the CLI, valuing f once at each; bisect the first sign change to 1e-10.
 
     A change is trusted only when both endpoints clear `noise_floor` in
     magnitude (10x the local error estimate, for quadrature-backed f).
-    Returns {'zero': t or None, 'min_value': .., 'min_t': ..}; DomainError when
-    [t_lo, t_max] holds no grid point, or more than MAX_GRID_POINTS.
+    Returns {'zero': t or None, 'min_value': .., 'min_t': .., 'walk': [(t, f(t)), ..]}
+    with the minimum and the walk over the whole grid; DomainError, before f is
+    called, when step is not positive or [t_lo, t_max] holds no grid point, or
+    more than MAX_GRID_POINTS.
     """
     if step <= 0.0:
         raise DomainError(f"zero scan needs step > 0, got {step!r}")
     ks = grid_indices(t_lo, t_max, step, "zero scan")
     if not ks:
         raise DomainError(f"zero scan has no grid point k * {step!r} in [{t_lo!r}, {t_max!r}]")
-    t_prev, f_prev = ks[0] * step, f(ks[0] * step)
-    min_v, min_t = f_prev, t_prev
-    for k in ks[1:]:
-        t = k * step
-        f_t = f(t)
-        if f_t < min_v:
-            min_v, min_t = f_t, t
-        if (f_prev * f_t < 0.0 and abs(f_prev) > noise_floor
-                and abs(f_t) > noise_floor):
-            zero = bisect_zero(f, t_prev, t, f_prev, f_t)
-            return {"zero": zero, "min_value": min(min_v, 0.0), "min_t": min_t}
-        t_prev, f_prev = t, f_t
-    return {"zero": None, "min_value": min_v, "min_t": min_t}
+    walk = [(k * step, f(k * step)) for k in ks]
+    zero = next((bisect_zero(f, a, b, fa, fb) for (a, fa), (b, fb) in zip(walk, walk[1:])
+                 if fa * fb < 0.0 and abs(fa) > noise_floor and abs(fb) > noise_floor), None)
+    min_t, min_value = min(walk, key=lambda point: point[1])
+    return {"zero": zero, "min_value": min_value, "min_t": min_t, "walk": walk}
 
 
 def orthogonalization_scan(sigma: float, t_max: float, step: float = 0.5,
                            cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
-    """Scan A_sigma over (0, t_max] for its first zero.
+    """Scan A_sigma over (0, t_max] for its first zero, reading K^(0) once.
 
-    Returns {'iota_found': t or None, 'min_A': .., 'min_t': ..}.  No zero on
+    Returns {'iota_found': t or None, 'min_A': .., 'min_t': .., 'walk': [(t, A(t)), ..]},
+    the walk holding A at each grid point k * step in (0, t_max].  No zero on
     the scanned range is the expected outcome for sigma in (1/2, 1).
     """
     if t_max < 0.0:
         raise DomainError(f"autocorrelation scan needs t_max >= 0, got {t_max!r}")
+    k0 = K_fourier(sigma, 0.0, cfg)
     noise = 1e4 * cfg.quad_abs_tol   # conservative 10x error floor for A values
-    result = scan_for_zero(lambda t: autocorrelation_A(sigma, t, cfg),
+    result = scan_for_zero(lambda t: K_fourier(sigma, t, cfg) / k0,
                            step, t_max, step, noise_floor=noise)
     return {"iota_found": result["zero"], "min_A": result["min_value"],
-            "min_t": result["min_t"]}
+            "min_t": result["min_t"], "walk": result["walk"]}

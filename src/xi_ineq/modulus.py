@@ -51,7 +51,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, EvaluationError
 from .quadrature import (RELATIVE_ONLY, barycentric, chebyshev_fejer,
                          integrate_eta_weighted, integrate_finite, integrate_trapezoid, libm)
 from .theta import (J_tau, divisor_sigma, stable_combo_A, stable_combo_B,
@@ -558,13 +558,23 @@ def constants(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG):
 # |xi|^2 via the representation, two parametrizations
 # ---------------------------------------------------------------------------
 
+def _finite(value: float, what: str, t: float) -> float:
+    """value, or EvaluationError (abscissa t) when it is inf or nan, as it is once
+    the quartic in t overflows (from t about 1e77)."""
+    if not math.isfinite(value):
+        raise EvaluationError(f"{what} returned {value!r} at t={t!r}", abscissa=t)
+    return value
+
+
 def modulus_rhs(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """|xi(sigma-it)|^2 as the representation gives it (half the displayed sum)."""
+    """|xi(sigma-it)|^2 as the representation gives it (half the displayed sum);
+    EvaluationError when that is not finite."""
     if not 0.0 < sigma < 1.0:
         raise DomainError(f"modulus_rhs needs sigma in (0,1), got {sigma!r}")
     s_val, t_val = constants(sigma, cfg)
     poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
-    return 0.5 * (s_val + t_val * t * t + poly * w_cos_fixed(sigma, t, cfg))
+    return _finite(0.5 * (s_val + t_val * t * t + poly * w_cos_fixed(sigma, t, cfg)),
+                   "modulus_rhs", t)
 
 
 @dataclass(frozen=True)
@@ -613,11 +623,16 @@ def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
 
     With x -> 2 ln x the double integral is a quarter of the cosine transform of
     W e^{-sigma x}, which the fixed rule reads from `_jeta_table`'s masses.
+    EvaluationError when the sum is not finite.
     """
     table = _jeta_table(tau, cfg)
     dbl = 0.25 * math.fsum((np.cos(t * _XT) * table.masses).tolist())
-    quartic = 4.0 * ((t * t + tau * tau + 0.25) ** 2 - tau * tau)
-    return quartic * dbl + (t * t + 2.0 * tau * tau + 0.25) * table.lin - table.cub
+    try:
+        quartic = 4.0 * ((t * t + tau * tau + 0.25) ** 2 - tau * tau)
+    except OverflowError:       # float ** raises where float * returns inf
+        quartic = math.inf
+    return _finite(quartic * dbl + (t * t + 2.0 * tau * tau + 0.25) * table.lin - table.cub,
+                   "modulus_rhs_via_J", t)
 
 
 # ---------------------------------------------------------------------------

@@ -29,26 +29,31 @@ def strip_timestamp(text: str) -> str:
     return re.sub(r'"timestamp":"[^"]*"', '"timestamp":""', text)
 
 
-def count_adaptive_transforms(monkeypatch) -> list:
-    """Record the frequency of every adaptive cosine transform that the library
-    starts, through whichever module's binding of `modulus.w_cos_transform`."""
+def count_transforms(monkeypatch, transform) -> list:
+    """Record the frequency t of every call (sigma, t, ...) of `transform` that the
+    library makes, through whichever module's binding of it."""
     calls = []
-    adaptive = modulus.w_cos_transform
 
     def counted(sigma, t, *args, **kwargs):
         calls.append(t)
-        return adaptive(sigma, t, *args, **kwargs)
+        return transform(sigma, t, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "xi_ineq" or name.startswith("xi_ineq."):
             for key, value in list(vars(module).items()):
-                if value is adaptive:
+                if value is transform:
                     monkeypatch.setattr(module, key, counted)
     return calls
 
 
+def count_adaptive_transforms(monkeypatch) -> list:
+    """Record the frequency of every adaptive cosine transform that the library
+    starts, through whichever module's binding of `modulus.w_cos_transform`."""
+    return count_transforms(monkeypatch, modulus.w_cos_transform)
+
+
 class TestSerialization:
-    def test_seventeen_digit_floats_round_trip(self):
+    def test_repr_floats_round_trip(self):
         values = [1.0 / 3.0, 2.0, 1e-300, 0.1 + 0.2]
         text = render_json({"v": values})
         parsed = json.loads(text)
@@ -318,6 +323,14 @@ class TestCommands:
         assert _w_table.cache_info().misses == 1
         assert adaptive == []
 
+    def test_autocorr_values_each_grid_point_once(self, capsys, monkeypatch):
+        # the default grid t = 0.5 k in (0, 30] and K^(0): one fixed-rule transform
+        # each, where the table and the zero scan used to read every point twice
+        reads = count_transforms(monkeypatch, modulus.w_cos_fixed)
+        code, _ = run_cli(capsys, "autocorr")
+        assert code == 0
+        assert sorted(reads) == [0.5 * k for k in range(61)]
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--t-max", "2", "--step", "0.5"],
         ["verify-modulus", "--sigma", "0.75", "--t-list", "0,1"],
@@ -342,6 +355,27 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "certification" in err
+
+    @pytest.mark.parametrize("route", ["representation", "J_eta"])
+    def test_nonfinite_representation_exits_2(self, capsys, route):
+        # poly(t) overflows from t about 1e77: the scan used to pass on nan and -inf
+        code = main(["scan", "--route", route, "--t-max", "1e200", "--step", "1e199"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "numerical failure" in err and "at t=" in err
+
+    def test_coeffs_overflowing_t_check_is_usage_error(self, capsys, monkeypatch):
+        # 100 ** 170 overflows a double: one line on stderr, exit 3, no coefficient
+        def refuse(*args, **kwargs):
+            raise AssertionError("coefficients computed")
+
+        monkeypatch.setattr(importlib.import_module("xi_ineq.cli"), "power_series_coeffs", refuse)
+        code = main(["coeffs", "--kmax", "85", "--t-check", "100"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "overflows" in err
 
     @pytest.mark.parametrize("command", ["scan", "autocorr"])
     def test_grid_past_the_cap_is_usage_error(self, capsys, command):

@@ -461,6 +461,36 @@ class TestZeroLocalization:
         z = bisect_zero(math.cos, 1.0, 2.0, xtol=1e-12)
         assert abs(z - math.pi / 2.0) < 1e-10
 
+    def test_bisect_zero_stops_at_the_float_spacing(self):
+        # floats near 5.5e7 lie 7.5e-9 apart, wider than xtol = 1e-10: once the
+        # bracket held two neighbours, the loop used to run forever
+        x0 = 1.75e7 * math.pi
+        calls = []
+
+        def sign(t):
+            calls.append(t)
+            if len(calls) > 300:
+                raise RuntimeError("bisection did not stop")
+            return -1.0 if t < x0 else 1.0
+
+        assert bisect_zero(sign, 5e7, 6e7) in (math.nextafter(x0, 0.0), x0)
+
+    def test_scan_values_each_grid_point_once(self):
+        # the walk spans the whole grid, past the first zero, and bisection adds
+        # only points between two grid points
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.cos(t)
+
+        res = scan_for_zero(f, 0.5, 3.0, 0.5)
+        grid = [0.5 * k for k in range(1, 7)]
+        assert res["walk"] == [(t, math.cos(t)) for t in grid]
+        assert calls[:6] == grid and all(1.5 < t < 2.0 for t in calls[6:])
+        assert abs(res["zero"] - math.pi / 2.0) < 1e-9
+        assert (res["min_t"], res["min_value"]) == (3.0, math.cos(3.0))
+
     def test_offset_triangular_window_zero(self):
         # triangular window centered at 2 with half-width 1: the normalized
         # cosine transform is cos(2t) * 2(1 - cos t)/t^2 -- first zero at pi/4

@@ -8,7 +8,7 @@ from scipy.special import kv
 from conftest import s_reference, w_exp_reference, w_moment_reference, xi_mod_sq_reference
 from xi_ineq import modulus, quadrature
 from xi_ineq.config import EvalConfig
-from xi_ineq.errors import ConvergenceError, DomainError
+from xi_ineq.errors import ConvergenceError, DomainError, EvaluationError
 from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _PROBES, _X, _jeta_table,
                              _scaled_moments, _w_table, a_coeff, c_coeff, calG, calH, calH_derivs_at_0,
                              constants, modulus_rhs, modulus_rhs_via_J,
@@ -360,6 +360,16 @@ class TestModulusIdentity:
         for sigma, t in ((0.75, 0.0), (0.75, 10.0), (0.6, 14.2)):
             assert modulus_rhs(sigma, t, cfg) == pytest.approx(
                 xi_mod_sq_reference(sigma, t), rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("route", [lambda t: modulus_rhs(0.75, t),
+                                       lambda t: modulus_rhs_via_J(0.25, t)],
+                             ids=["representation", "J_eta"])
+    def test_nonfinite_value_is_evaluation_error(self, route):
+        # the quartic in t overflows at t = 1e100 (on the J route by raising), so
+        # the sum is infinite: no value
+        with pytest.raises(EvaluationError) as err:
+            route(1e100)
+        assert err.value.abscissa == 1e100
 
 
 class TestJEtaRoute:
