@@ -154,9 +154,9 @@ def cmd_verify_modulus(args, cfg: EvalConfig) -> int:
     sigmas, ts = args.sigma, args.t_list
 
     def one(sigma, t):
+        rep = modulus_rhs(sigma, t, cfg)      # rejects sigma outside (0, 1) before the oracle
         oracle = xi_mod_sq(sigma, t, cfg)
         scale = max(xi_real(sigma, cfg) ** 2, oracle)
-        rep = modulus_rhs(sigma, t, cfg)
         j_route = 0.5 * modulus_rhs_via_J(sigma - 0.5, t, cfg)
         return {
             "sigma": sigma, "t": t, "oracle": oracle,
@@ -275,8 +275,7 @@ def cmd_autocorr(args, cfg: EvalConfig) -> int:
     status = "pass" if (bounded and scan["iota_found"] is None) else "fail"
     return _finish(args, "autocorr", {"sigma": sigma, "t_max": args.t_max,
                                       "step": args.step},
-                   {"rows": rows, "zero_scan": scan, "a0_is_one": True,
-                    "bounded_by_one": bounded}, rows, status)
+                   {"rows": rows, "zero_scan": scan, "bounded_by_one": bounded}, rows, status)
 
 
 _PUBLISHED = {

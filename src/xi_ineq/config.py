@@ -102,16 +102,15 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def config_from_mapping(mapping: dict, base: EvalConfig | None = None) -> EvalConfig:
-    """Build an EvalConfig from string values, starting from `base`.
+def config_from_mapping(mapping: dict) -> EvalConfig:
+    """Build an EvalConfig from string values, the defaults for every key absent.
 
     An unknown key raises ValueError: a misspelled tolerance would otherwise
     leave the default in force without a word.
     """
-    base = base or DEFAULT_CONFIG
     kwargs = {}
     for key, value in mapping.items():
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}; known keys: {', '.join(_FIELD_TYPES)}")
         kwargs[key] = _FIELD_TYPES[key](value)
-    return replace(base, **kwargs) if kwargs else base
+    return replace(DEFAULT_CONFIG, **kwargs) if kwargs else DEFAULT_CONFIG

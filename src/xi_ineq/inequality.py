@@ -34,7 +34,7 @@ from numpy.polynomial.chebyshev import chebvander
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DomainError
 from .modulus import (_W_CUT, _X, _cos_taylor_terms, _scaled_moments, _w_table, constants,
-                      modulus_rhs, modulus_rhs_via_J, w_cos_fixed, W_sigma)
+                      modulus_rhs, modulus_rhs_via_J, quartic, w_cos_fixed, W_sigma)
 from .quadrature import _row_fsums, integrate_finite, libm
 from .theta import sup_constant_C, sup_constant_Cn
 
@@ -62,14 +62,9 @@ class ScanReport:
     values: list
     min_value: float
     min_t: float
-    violations: list            # t where value + err_est < 0
+    violations: list            # t where value + its error estimate < 0
+    indeterminate: list         # t where value <= 0 <= value + its error estimate
     err_est: float              # largest per-point error estimate
-
-    @property
-    def indeterminate(self) -> list:
-        """Grid points whose value is nonpositive but within error of zero."""
-        return [t for t, v in zip(self.grid, self.values)
-                if v <= 0.0 and v + self.err_est >= 0.0]
 
 
 @dataclass
@@ -105,6 +100,7 @@ def scan_inequality(sigma: float, t_max: float, step: float,
     A genuine nonpositive value would be a major find, so a violation is
     declared only when value + err_est < 0; nonpositive values inside the
     error band land in `indeterminate` instead of being clamped or hidden.
+    Each point is classified once, against its own error estimate.
     """
     if not 0.5 < sigma < 1.0:
         raise DomainError(f"scan needs sigma in (1/2,1), got {sigma!r}")
@@ -114,18 +110,14 @@ def scan_inequality(sigma: float, t_max: float, step: float,
 
     if route == "representation":
         def value_err(t):
-            poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
             v = 2.0 * modulus_rhs(sigma, t, cfg)
-            e = 20.0 * cfg.quad_abs_tol * max(poly, 1.0) + 1e-12 * abs(v)
-            return v, e
+            return v, 20.0 * cfg.quad_abs_tol * max(quartic(sigma, t), 1.0) + 1e-12 * abs(v)
     elif route == "J_eta":
         tau = sigma - 0.5
 
         def value_err(t):
             v = modulus_rhs_via_J(tau, t, cfg)
-            poly = 4.0 * ((t * t + tau * tau + 0.25) ** 2 - tau * tau)
-            e = 40.0 * cfg.quad_abs_tol * max(poly, 1.0) + 1e-11 * abs(v)
-            return v, e
+            return v, 40.0 * cfg.quad_abs_tol * max(4.0 * quartic(sigma, t), 1.0) + 1e-11 * abs(v)
     else:
         raise ValueError(f"unknown route {route!r}")
 
@@ -135,10 +127,10 @@ def scan_inequality(sigma: float, t_max: float, step: float,
         values.append(v)
         errs.append(e)
     i_min = min(range(len(grid)), key=values.__getitem__)
-    err_est = max(errs)
     violations = [t for t, v, e in zip(grid, values, errs) if v + e < 0.0]
+    indeterminate = [t for t, v, e in zip(grid, values, errs) if v <= 0.0 <= v + e]
     return ScanReport(sigma, grid, values, values[i_min], grid[i_min],
-                      violations, err_est)
+                      violations, indeterminate, max(errs))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +157,7 @@ def poly_approx_V(sigma: float, N1: int, N2: int, t: float,
         raise ValueError("N1 and N2 must be >= 1")
     terms = _cos_taylor_terms(sigma, N1, min(N2, _MOMENT_CAP), t, cfg)
     s_val, t_val = constants(sigma, cfg)
-    poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
+    poly = quartic(sigma, t)
     value = s_val + t_val * t * t + poly * float(terms[::2].sum() - terms[1::2].sum())
     rounding = np.finfo(float).eps * (poly * np.abs(terms).sum() + abs(s_val) + abs(t_val) * t * t)
     if rounding >= abs(value):
@@ -356,9 +348,7 @@ def mm_bound(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Right side of the expectation inequality:
     -(S + T t^2) / (Z (t^2+(1-sigma)^2)(t^2+sigma^2)), Z = int W e^{-sigma x} dx."""
     s_val, t_val = constants(sigma, cfg)
-    z = w_cos_fixed(sigma, 0.0, cfg)
-    poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
-    return -(s_val + t_val * t * t) / (z * poly)
+    return -(s_val + t_val * t * t) / (w_cos_fixed(sigma, 0.0, cfg) * quartic(sigma, t))
 
 
 def mc_check(sigma: float, ts, n_samples: int, seed: int,
@@ -416,8 +406,8 @@ def K_fourier(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float
     """
     if not 0.5 < sigma < 1.0:
         raise DomainError(f"K_fourier needs sigma in (1/2,1), got {sigma!r}")
-    poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
-    return 4.0 * sigma * (1.0 - sigma) * (2.0 * sigma - 1.0) * modulus_rhs(sigma, t, cfg) / poly
+    return (4.0 * sigma * (1.0 - sigma) * (2.0 * sigma - 1.0) * modulus_rhs(sigma, t, cfg)
+            / quartic(sigma, t))
 
 
 def autocorrelation_A(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:

@@ -566,14 +566,19 @@ def _finite(value: float, what: str, t: float) -> float:
     return value
 
 
+def quartic(sigma: float, t: float) -> float:
+    """poly(t) = (t^2+(1-sigma)^2)(t^2+sigma^2), the factor of the cosine transform
+    in the representation; a product, so inf past t about 1e77, never OverflowError."""
+    return (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
+
+
 def modulus_rhs(sigma: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """|xi(sigma-it)|^2 as the representation gives it (half the displayed sum);
     EvaluationError when that is not finite."""
     if not 0.0 < sigma < 1.0:
         raise DomainError(f"modulus_rhs needs sigma in (0,1), got {sigma!r}")
     s_val, t_val = constants(sigma, cfg)
-    poly = (t * t + (1.0 - sigma) ** 2) * (t * t + sigma * sigma)
-    return _finite(0.5 * (s_val + t_val * t * t + poly * w_cos_fixed(sigma, t, cfg)),
+    return _finite(0.5 * (s_val + t_val * t * t + quartic(sigma, t) * w_cos_fixed(sigma, t, cfg)),
                    "modulus_rhs", t)
 
 
@@ -622,16 +627,14 @@ def modulus_rhs_via_J(tau: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
       - int y [2y^2 J''' + 9y J'' + 6 J'] eta dy
 
     With x -> 2 ln x the double integral is a quarter of the cosine transform of
-    W e^{-sigma x}, which the fixed rule reads from `_jeta_table`'s masses.
-    EvaluationError when the sum is not finite.
+    W e^{-sigma x}, which the fixed rule reads from `_jeta_table`'s masses; the
+    leading quartic is 4 `quartic`(tau + 1/2, t).  EvaluationError when the sum is
+    not finite.
     """
     table = _jeta_table(tau, cfg)
     dbl = 0.25 * math.fsum((np.cos(t * _XT) * table.masses).tolist())
-    try:
-        quartic = 4.0 * ((t * t + tau * tau + 0.25) ** 2 - tau * tau)
-    except OverflowError:       # float ** raises where float * returns inf
-        quartic = math.inf
-    return _finite(quartic * dbl + (t * t + 2.0 * tau * tau + 0.25) * table.lin - table.cub,
+    return _finite(4.0 * quartic(tau + 0.5, t) * dbl
+                   + (t * t + 2.0 * tau * tau + 0.25) * table.lin - table.cub,
                    "modulus_rhs_via_J", t)
 
 

@@ -23,8 +23,9 @@ H and the double series J_tau with its derivatives (divisor-sum accelerated)
 take a float or a whole array (the J table's trapezoid levels, the U table's
 line sum).  An array runs one element-wise loop, `_elementwise_series`, with
 libm's exp, so each element has the bits of its float call on every CPU; H's
-float call stays `_series`, which the adaptive U_sigma integrands call thousands
-of times a run.  Also here: the weight eta_tau, and the sup-constants used in
+float call stays `_series`, which the adaptive U_sigma integrand calls three
+times an abscissa (H(w) once, and once at each shifted point), thousands of
+times a run.  Also here: the weight eta_tau, and the sup-constants used in
 the tail bounds.
 """
 

@@ -26,10 +26,11 @@ double precision outside |x| <= 2.73, so the sum converges exponentially in its
 step.  g on the sum's grid is one array call of `_g`, so of theta_H's array
 form, and each value has the bits of its float call on every CPU.  The
 polynomial through the node values is checked against U_sigma, a different
-quadrature, at 12 probes between the nodes before the table is used, and each
-t is one exactly summed product with the masses.  U_sigma and the line
-sum are computed here from H alone, so the route shares only the rule with the
-Hcal, Gcal and J/eta tables of `modulus`.
+quadrature (one adaptive integral in w = e^x on [1, 6], H(w) valued once per
+abscissa for both shifted factors), at 12 probes between the nodes before the
+table is used, and each t is one exactly summed product with the masses.
+U_sigma and the line sum are computed here from H alone, so the route shares
+only the rule with the Hcal, Gcal and J/eta tables of `modulus`.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ from .theta import theta_H, theta_R
 
 # where exp(-pi x) alone is below any double-precision tolerance
 _PSI_DECAY = math.pi
+# |Im s| past which xi is refused: |xi(1/2+it)| is 5e-304 at t = 905 and below the
+# smallest normal double from about t = 918, so past it no value means anything,
+# and the oracle's cost grows linearly in |Im s|
+MAX_IM_S = 905.0
 
 
 def psi_theta(x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -57,8 +62,11 @@ def xi(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Entire completed-zeta evaluation; satisfies xi(s) = xi(1-s).
 
     One adaptive integral of the complex integrand on [1, cfg.truncation_point(pi, 2)],
-    its real and imaginary parts summed exactly each on their own."""
+    its real and imaginary parts summed exactly each on their own.  DomainError when
+    |Im s| > MAX_IM_S."""
     s = complex(s)
+    if not abs(s.imag) <= MAX_IM_S:
+        raise DomainError(f"xi needs |Im s| <= {MAX_IM_S}, got {s!r}")
     x_max = cfg.truncation_point(_PSI_DECAY, 2.0)
     integral = integrate_finite(
         lambda x: (x ** (0.5 * s - 1.0) + x ** (-0.5 * (s + 1.0))) * psi_theta(x, cfg),
@@ -116,52 +124,30 @@ _H_LOG_CUT = 0.5 * math.log(745.0 / math.pi)
 _H_W_CUT = 6.0
 
 
-def U_sigma(sigma: float, y: float, form: str = "two_term",
-            cfg: EvalConfig = DEFAULT_CONFIG, abs_tol: float = None) -> float:
-    """Symmetric correlation kernel of density_P.
+def U_sigma(sigma: float, y: float, cfg: EvalConfig = DEFAULT_CONFIG,
+            abs_tol: float = None) -> float:
+    """Symmetric correlation kernel of density_P,
 
-    two_term:
-        e^{sigma y}   int_1^inf H(w) H(e^{y} w)  w^{2 sigma - 1} dw
-      + e^{(sigma-1)y} int_1^inf H(w) H(e^{-y} w) w^{1 - 2 sigma} dw
+        int_1^inf H(w) (e^{sigma y} H(e^{y} w) w^{2 sigma - 1}
+                        + e^{(sigma-1)y} H(e^{-y} w) w^{1 - 2 sigma}) dw,
 
-    three_term (the defining split along the real line):
-        e^{(1-sigma)y} int_0^inf H(e^{y+z}) H(e^z) e^{2(1-sigma)z} dz
-      + e^{(1-sigma)y} int_0^y   H(e^{y-z}) H(e^z) e^{(2 sigma-1)z} dz
-      + e^{sigma y}    int_0^inf H(e^{y+z}) H(e^z) e^{2 sigma z} dz
-
-    Both decay like exp(-2 e^y) up to polynomial factors, so acceptance is
-    relative by default.  Only the U table's certification probes pass an
-    absolute target (its tolerance is set by the transform, not by U's tiny
-    tail); the table's node values come from `_u_line_sum`.
+    one adaptive integral on [1, _H_W_CUT], H(w) valued once per abscissa.  Both
+    terms are positive and decay like exp(-2 e^y) up to polynomial factors, so
+    acceptance is relative by default.  Only the U table's certification probes
+    pass an absolute target (its tolerance is set by the transform, not by U's
+    tiny tail); the table's node values come from `_u_line_sum`.
     """
     if y < 0.0:
         raise DomainError(f"U_sigma needs y >= 0, got {y!r}")
-    # the engine's target; the integrands keep cfg, the key of the theta tables
+    # the engine's target; the integrand keeps cfg, the key of the theta tables
     quad = replace(cfg, quad_abs_tol=RELATIVE_ONLY if abs_tol is None else abs_tol)
-    if form == "two_term":
-        ey = math.exp(y)
-        p = 2.0 * sigma - 1.0
-        one = integrate_finite(
-            lambda w: theta_H(w, cfg) * theta_H(ey * w, cfg) * w ** p, 1.0, _H_W_CUT, quad)
-        two = integrate_finite(
-            lambda w: theta_H(w, cfg) * theta_H(w / ey, cfg) * w ** (-p), 1.0, _H_W_CUT, quad)
-        return math.exp(sigma * y) * one.value + math.exp((sigma - 1.0) * y) * two.value
-    if form == "three_term":
-        z_cut = _H_LOG_CUT + 0.2
-
-        def pair(z, shift, weight):
-            return theta_H(math.exp(z + shift), cfg) * theta_H(math.exp(z), cfg) * math.exp(weight * z)
-
-        one = integrate_finite(lambda z: pair(z, y, 2.0 * (1.0 - sigma)), 0.0, z_cut, quad)
-        three = integrate_finite(lambda z: pair(z, y, 2.0 * sigma), 0.0, z_cut, quad)
-        mid = 0.0
-        if y > 0.0:
-            mid = integrate_finite(
-                lambda z: theta_H(math.exp(y - z), cfg) * theta_H(math.exp(z), cfg)
-                * math.exp((2.0 * sigma - 1.0) * z), 0.0, y, quad).value
-        return (math.exp((1.0 - sigma) * y) * (one.value + mid)
-                + math.exp(sigma * y) * three.value)
-    raise ValueError(f"unknown U_sigma form {form!r}")
+    ey = math.exp(y)
+    p = 2.0 * sigma - 1.0
+    up, down = math.exp(sigma * y), math.exp((sigma - 1.0) * y)
+    return integrate_finite(
+        lambda w: theta_H(w, cfg) * (up * theta_H(ey * w, cfg) * w ** p
+                                     + down * theta_H(w / ey, cfg) * w ** (-p)),
+        1.0, _H_W_CUT, quad).value
 
 
 # U_sigma(y) is below 1e-30 of its y=0 value beyond this point (its decay is
@@ -195,15 +181,14 @@ def _u_line_sum(sigma: float, ys, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarra
 @config_cache(maxsize=32)
 def _u_table(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """U_sigma at the nodes _U_X, from `_u_line_sum`; read-only.  The polynomial
-    through these values is certified against U_sigma(..., "two_term",
-    abs_tol=0.1 quad_abs_tol), a different quadrature, at the 12 _U_PROBES, to
-    100 quad_abs_tol absolute in U, so the check covers the line sum and the
-    interpolation together; ConvergenceError (partial: the worst deviation) is
-    raised when it misses."""
+    through these values is certified against U_sigma(..., abs_tol=0.1
+    quad_abs_tol), a different quadrature (one adaptive integral on the half
+    line w >= 1), at the 12 _U_PROBES, to 100 quad_abs_tol absolute in U, so the
+    check covers the line sum and the interpolation together; ConvergenceError
+    (partial: the worst deviation) is raised when it misses."""
     values = _u_line_sum(sigma, _U_X, cfg)
     abs_tol = 0.1 * cfg.quad_abs_tol
-    probes = np.array([U_sigma(sigma, float(y), "two_term", cfg, abs_tol=abs_tol)
-                       for y in _U_PROBES])
+    probes = np.array([U_sigma(sigma, float(y), cfg, abs_tol) for y in _U_PROBES])
     worst = float(np.max(np.abs(barycentric(values, _U_X, _U_BARY, _U_PROBES) - probes)))
     limit = 100.0 * cfg.quad_abs_tol
     if worst > limit:

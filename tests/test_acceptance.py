@@ -150,7 +150,7 @@ def test_criterion_07_power_series():
     worst_moment = 0.0
     for k in range(5):
         moment = integrate_finite(
-            lambda y, k=k: U_sigma(0.75, y, "two_term", CFG, abs_tol=1e-16) * y ** (2 * k),
+            lambda y, k=k: U_sigma(0.75, y, CFG, abs_tol=1e-16) * y ** (2 * k),
             0.0, 3.4, replace(CFG, quad_abs_tol=1e-14)).value
         predicted = (-1.0) ** k / (2.0 * math.factorial(2 * k)) * moment
         worst_moment = max(worst_moment,

@@ -377,6 +377,28 @@ class TestCommands:
         assert out == ""
         assert err.count("\n") == 1 and "overflows" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-modulus", "--sigma", "0.75", "--t-list", "1e6"],
+        ["coeffs", "--kmax", "0", "--t-check", "1e200"],
+        ["verify-modulus", "--sigma", "1e200", "--t-list", "1"],
+    ])
+    def test_oracle_input_past_its_range_is_usage_error(self, capsys, argv):
+        # the oracle's time grows linearly in t, and sigma = 1e200 overflowed inside it:
+        # each is refused at once with one line on stderr
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "domain error" in err
+
+    def test_verify_modulus_rejects_sigma_before_the_oracle(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr(importlib.import_module("xi_ineq.cli"), "xi_mod_sq", refuse)
+        assert main(["verify-modulus", "--sigma", "1.5", "--t-list", "1"]) == 3
+        assert "sigma in (0,1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["scan", "autocorr"])
     def test_grid_past_the_cap_is_usage_error(self, capsys, command):
         # --step 1e-9 asks for 2e9 points: one line on stderr, exit 3, no scan

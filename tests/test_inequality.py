@@ -43,6 +43,19 @@ class TestScan:
         with pytest.raises(DomainError):
             scan_inequality(0.3, 1.0, 0.5, "representation", cfg)
 
+    @pytest.mark.parametrize("fake, violations, indeterminate",
+                             [(-5e-8, [0.25], []), (-1e-13, [], [0.25])])
+    def test_each_point_is_classified_against_its_own_error(self, cfg, monkeypatch, fake,
+                                                            violations, indeterminate):
+        # at t = 0.25 the error estimate is about 2e-12; at t = 20 it is about 3e-7,
+        # so a point tested against the scan's largest error would read as indeterminate
+        rhs = inequality.modulus_rhs
+        monkeypatch.setattr(inequality, "modulus_rhs",
+                            lambda sigma, t, cfg: fake if t == 0.25 else rhs(sigma, t, cfg))
+        rep = scan_inequality(0.75, 20.0, 0.25, "representation", cfg)
+        assert (rep.violations, rep.indeterminate) == (violations, indeterminate)
+        assert rep.err_est > 1e-7
+
     @pytest.mark.parametrize("step", [1e-9, 1e-300])
     def test_grid_past_the_cap_is_rejected_before_allocation(self, cfg, step):
         # t_max / step = 2e9 (and an overflow to inf) points: rejected with no

@@ -490,7 +490,7 @@ class TestPowerSeries:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_moment_identity(self, cfg, k):
         moment = integrate_finite(
-            lambda y: U_sigma(0.75, y, "two_term", cfg, abs_tol=1e-16) * y ** (2 * k),
+            lambda y: U_sigma(0.75, y, cfg, abs_tol=1e-16) * y ** (2 * k),
             0.0, 3.4, replace(cfg, quad_abs_tol=1e-14)).value
         predicted = (-1.0) ** k / (2.0 * math.factorial(2 * k)) * moment
         assert c_coeff(0.25, k, cfg) == pytest.approx(predicted, rel=1e-5)

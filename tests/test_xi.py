@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import xi_mod_sq_reference, xi_reference
-from xi_ineq.errors import ConvergenceError
+from xi_ineq.errors import ConvergenceError, DomainError
 from xi_ineq.quadrature import integrate_finite
-from xi_ineq.xi import (_H_LOG_CUT, _U_PROBES, _U_STEP, _U_X, U_sigma, _g, _u_line_sum,
-                        _u_table, char_fn_Xi, density_P, density_Pbar, xi, xi_mod_sq,
-                        xi_mod_sq_via_U, xi_real)
+from xi_ineq.xi import (MAX_IM_S, _H_LOG_CUT, _U_PROBES, _U_STEP, _U_X, U_sigma, _g,
+                        _u_line_sum, _u_table, char_fn_Xi, density_P, density_Pbar, xi,
+                        xi_mod_sq, xi_mod_sq_via_U, xi_real)
 
 # the package exports the function xi, which hides the module of the same name
 xi_module = importlib.import_module("xi_ineq.xi")
@@ -84,6 +84,13 @@ class TestXi:
         assert len(calls) == 1
 
 
+    def test_refused_past_the_imaginary_cap(self, cfg):
+        assert math.isfinite(abs(xi(complex(0.75, -MAX_IM_S), cfg)))
+        for s in (complex(0.75, MAX_IM_S + 1.0), complex(0.5, -1e200), complex(0.5, math.nan)):
+            with pytest.raises(DomainError, match="Im s"):
+                xi(s, cfg)
+
+
 class TestModSq:
     def test_t_zero_is_square(self, cfg):
         assert xi_mod_sq(0.75, 0.0, cfg) == pytest.approx(XI_3_4 ** 2, rel=1e-12)
@@ -133,18 +140,23 @@ class TestDensityP:
 
 
 class TestUSigma:
-    @pytest.mark.parametrize("y", [0.0, 0.5, 1.0, 2.0])
-    def test_forms_cross_check(self, cfg, y):
-        two = U_sigma(0.75, y, "two_term", cfg)
-        three = U_sigma(0.75, y, "three_term", cfg)
-        assert abs(two - three) <= 1e-8 * abs(two)
-        assert two > 0.0
-
     @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.9])
     @pytest.mark.parametrize("y", [0.0, 0.5, 1.0, 2.0])
     def test_envelope_bound(self, cfg, sigma, y):
         bound = 96.0 * math.pi ** 8 * math.exp(5.0 * y - 2.0 * math.exp(y))
-        assert U_sigma(sigma, y, "two_term", cfg) < bound
+        assert 0.0 < U_sigma(sigma, y, cfg) < bound
+
+    @pytest.mark.parametrize("y", [0.0, 1.0])
+    def test_one_adaptive_integral_per_call(self, cfg, monkeypatch, y):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate_finite(*args, **kwargs)
+
+        monkeypatch.setattr(xi_module, "integrate_finite", counted)
+        U_sigma(0.75, y, cfg)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("sigma", [0.55, 0.6, 0.75, 0.9])
     @pytest.mark.parametrize("t", [0.0, 1.0, 2.0, 5.0, 10.0, 20.0])
@@ -169,7 +181,7 @@ class TestUTable:
         ys = _U_X[::8]
         line = _u_line_sum(sigma, ys, cfg)
         for y, value in zip(ys, line):
-            want = U_sigma(sigma, float(y), "two_term", cfg, abs_tol=0.1 * cfg.quad_abs_tol)
+            want = U_sigma(sigma, float(y), cfg, abs_tol=0.1 * cfg.quad_abs_tol)
             assert abs(value - want) <= 1e-14, y
 
     @pytest.mark.parametrize("sigma", [0.55, 0.95])
@@ -198,9 +210,9 @@ class TestUTable:
     def test_build_calls_U_sigma_only_at_the_probes(self, cfg, monkeypatch):
         ys = []
 
-        def counted(sigma, y, form="two_term", cfg=cfg, abs_tol=None):
+        def counted(sigma, y, cfg=cfg, abs_tol=None):
             ys.append(y)
-            return U_sigma(sigma, y, form, cfg, abs_tol)
+            return U_sigma(sigma, y, cfg, abs_tol)
 
         monkeypatch.setattr(xi_module, "U_sigma", counted)
         _u_table.cache_clear()
@@ -224,8 +236,8 @@ class TestUTable:
     def test_certification_rejects_a_probe_off_by_1e7(self, cfg, monkeypatch):
         bad_probe = float(_U_PROBES[1])
 
-        def off(sigma, y, form="two_term", cfg=cfg, abs_tol=None):
-            return U_sigma(sigma, y, form, cfg, abs_tol) + (1e-7 if y == bad_probe else 0.0)
+        def off(sigma, y, cfg=cfg, abs_tol=None):
+            return U_sigma(sigma, y, cfg, abs_tol) + (1e-7 if y == bad_probe else 0.0)
 
         monkeypatch.setattr(xi_module, "U_sigma", off)
         _u_table.cache_clear()
