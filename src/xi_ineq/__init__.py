@@ -10,7 +10,7 @@ from .inequality import (MCReport, ScanReport, TruncationLevels, K_fourier,
                          scan_for_zero, scan_inequality, truncation_levels,
                          verify_tail_bound)
 from .modulus import (ConstantsReport, PowerSeriesCoeffs, F_sigma, S_T_constants,
-                      W_sigma, a_coeff, c_coeff, calG, calH, calH_derivs_at_0,
+                      W_sigma, a_coeff, c_coeff, calG, calH,
                       constants, modulus_rhs, modulus_rhs_via_J,
                       power_series_coeffs, w_cos_fixed, w_cos_transform)
 from .quadrature import QuadResult, integrate_eta_weighted, integrate_finite

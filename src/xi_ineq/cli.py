@@ -434,7 +434,7 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
     try:
         return _COMMANDS[args.command](args, cfg)
-    except (ConvergenceError, EvaluationError) as exc:
+    except (ConvergenceError, EvaluationError, OverflowError) as exc:
         print(f"xi-ineq: numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except DomainError as exc:

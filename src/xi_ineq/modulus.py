@@ -7,7 +7,7 @@ The central identity evaluated here, for real sigma and t, is
 
 with W_sigma an exponential-twisted self-convolution of the theta series R.
 S_sigma and T_sigma are computed by three independent routes: B, the F-series,
-is Hcal's derivatives at 0 (four Gcal integrals at 1); A and C share one
+is Hcal's derivatives at 0 (one two-row Gcal sum at 1); A and C share one
 R-integral expansion on (1, inf) and differ on (0,1), which A integrates through
 the inversion-stable combinations and C folds to (1, inf) by theta inversion.
 Converged values of the three routes must agree, and two published
@@ -33,13 +33,13 @@ transform (`w_cos_fixed`), of the moments (`_scaled_moments`), of the sampler's
 density, of `constants` and of `S_T_constants(sigma, "B_series")` takes it from
 there, so route B runs once per sigma.  The J/eta route, a(k) and c(k) read one
 record per tau, `_jeta_table`: the same rule's masses with values from J and eta
-alone, and the route's two t-independent integrals.  Every Gcal value and
-eta-weighted integral is one row of a trapezoid sum in u, and each table values
-its nodes in one batched engine call (the W table's 64 nodes and 57 probes are
-one `calH` call, the J table's 128 nodes one `integrate_eta_weighted` call), so
-neither table runs the adaptive engine or loops over nodes in Python; the
-adaptive `w_cos_transform`, which calls `calH` one abscissa at a time, stays as
-the cross-check of both.
+alone, and the route's two t-independent integrals.  Every Gcal value (route B's
+S and T too) and eta-weighted integral is one row of a trapezoid sum in u, and
+each table values its nodes in one batched engine call (the W table's 64 nodes
+and 57 probes are one `calH` call, route B one more; the J table's 128 nodes are
+one `integrate_eta_weighted` call), so neither table runs the adaptive engine or
+loops over nodes in Python; the adaptive `w_cos_transform`, which calls `calH` one
+abscissa at a time, stays as the cross-check of both.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig, config_cache
 from .errors import ConvergenceError, DomainError, EvaluationError
-from .quadrature import (RELATIVE_ONLY, barycentric, chebyshev_fejer,
+from .quadrature import (RELATIVE_ONLY, barycentric, chebyshev_fejer, cosh_cutoff,
                          integrate_eta_weighted, integrate_finite, integrate_trapezoid, libm)
 from .theta import (J_tau, divisor_sigma, stable_combo_A, stable_combo_B,
                     theta_R, theta_R_prime, theta_R_prime_truncated,
@@ -93,10 +93,9 @@ def _f_poly(d: int, lam: float, c: float) -> float:
     return 4.0 * c * c * (3.0 - 2.0 * lam * c)
 
 
-def _f_cosh_cutoff(lam: float, cfg: EvalConfig) -> float:
+def _f_target(lam: float, cfg: EvalConfig) -> float:
     # 2 lam (cosh u - 1) beyond the working tolerance, with polynomial margin
-    target = math.log(40.0 * max(lam, 1.0) / cfg.quad_abs_tol) + 8.0
-    return math.acosh(1.0 + target / (2.0 * lam)) + 0.25
+    return math.log(40.0 * max(lam, 1.0) / cfg.quad_abs_tol) + 8.0
 
 
 def F_sigma(sigma: float, lam: float, deriv: int = 0, form: str = "direct",
@@ -124,7 +123,7 @@ def F_sigma(sigma: float, lam: float, deriv: int = 0, form: str = "direct",
                     * math.exp(-2.0 * lam * c) * math.cosh(tau * u))
 
         # F spans e^{-2 lam} scales; only relative acceptance keeps large lam honest
-        return integrate_finite(integrand, 0.0, _f_cosh_cutoff(lam, cfg),
+        return integrate_finite(integrand, 0.0, cosh_cutoff(2.0 * lam, _f_target(lam, cfg)),
                                 replace(cfg, quad_abs_tol=RELATIVE_ONLY)).value
 
     if form == "raw":
@@ -147,16 +146,15 @@ def F_sigma(sigma: float, lam: float, deriv: int = 0, form: str = "direct",
 # The G-series, its log-variable version Hcal, and W
 # ---------------------------------------------------------------------------
 
-def _g_weights(sigma: float, lam: float, deriv: int, cfg: EvalConfig):
-    """Per-product weights of the collapsed series
-    sum_p sigma_{2 sigma - 1}(p) p^{-sigma-1/2} (pi p)^deriv F^{(deriv)}(pi p lam)."""
+def _g_weights(sigma: float, lam: float, cfg: EvalConfig):
+    """Per-product (mu_p, w_p) of the collapsed series sum_p w_p F(mu_p), with
+    mu_p = pi p lam and w_p = sigma_{2 sigma - 1}(p) p^{-sigma-1/2}."""
     out = []
     for p in range(1, cfg.series_max_terms + 1):
         mu = math.pi * p * lam
         if 2.0 * mu > _EXP_UNDERFLOW:
             break
-        w = divisor_sigma(p, 2.0 * sigma - 1.0) * float(p) ** (-sigma - 0.5) * (math.pi * p) ** deriv
-        out.append((mu, w))
+        out.append((mu, divisor_sigma(p, 2.0 * sigma - 1.0) * float(p) ** (-sigma - 0.5)))
         # geometric decay e^{-2 pi lam} per step makes a fixed small cap safe
         if p >= 6 and math.exp(-2.0 * (mu - math.pi * lam)) < cfg.series_tol:
             break
@@ -165,55 +163,72 @@ def _g_weights(sigma: float, lam: float, deriv: int, cfg: EvalConfig):
     return out
 
 
-def _gcal(sigma: float, lam: np.ndarray, deriv: int, cfg: EvalConfig) -> np.ndarray:
-    """deriv-th derivative of Gcal_sigma at every element of the 1-d array lam, one
-    trapezoid row each, all rows in one engine call.
+_GCAL_ROW = (1.0,)   # b of a Gcal value: each product's coefficient is w_p mu_p
 
-    With mu_p = pi p lam, each term's factor exp(-2 mu_p cosh u) is E^p for
-    E = exp(-2 pi lam cosh u), so the product sum at an abscissa is a polynomial in
-    E, taken by Horner's rule from the highest product down: one exp per abscissa.
-    A row with fewer products than the batch's longest starts its Horner sum on
-    exact zeros, so its bits are those of its one-row call; a row whose product
-    sum is empty (2 pi lam past exp's underflow) is exactly 0.0.
+
+def _gcal(sigma: float, lam: np.ndarray, polys, cfg: EvalConfig) -> np.ndarray:
+    """One Gcal-type sum at every element of the 1-d array lam, one trapezoid row
+    each, all rows in one engine call: row i is
+
+        2^{-tau} int_0^inf sum_p w_p (sum_k b_k mu_p^{k+1} c^k) e^{-2 mu_p c}
+                                                  cosh(tau u) du,   c = cosh u,
+
+    with b = polys[i].  b = (1,) (`_GCAL_ROW`) makes the row Gcal_sigma(lam_i);
+    route B's rows are Hcal's derivatives at 0 in this form.
+
+    Each term's factor exp(-2 mu_p cosh u) is E^p for E = exp(-2 pi lam cosh u), so
+    the product sum at an abscissa is a polynomial in E, taken by Horner's rule from
+    the highest product down, one exp per abscissa, and each product's coefficient
+    a polynomial in c, taken by Horner's rule inside it.  A row with fewer products
+    or fewer b_k than the batch's longest starts its Horner sums on exact zeros, so
+    its bits are those of its one-row call; a row whose product sum is empty
+    (2 pi lam past exp's underflow) is exactly 0.0.
     """
-    terms = [_g_weights(sigma, v, deriv, cfg) for v in lam.tolist()]
+    terms = [_g_weights(sigma, v, cfg) for v in lam.tolist()]
     out = np.zeros(len(terms))
     filled = [i for i, products in enumerate(terms) if products]
     if not filled:
         return out
     n_terms = max(len(terms[i]) for i in filled)
+    n_c = max(len(polys[i]) for i in filled)
     mu = np.zeros((len(filled), n_terms))
-    coef = np.zeros((len(filled), n_terms))
+    coef = np.zeros((len(filled), n_terms, n_c))
     for r, i in enumerate(filled):
         for p, (mu_p, w) in enumerate(terms[i]):
-            # w * _f_poly(0, mu, c) is w * mu: for deriv 0 (every Hcal and W value)
-            # the whole coefficient is one constant per term
-            mu[r, p], coef[r, p] = mu_p, w * mu_p if deriv == 0 else w
+            mu[r, p], coef[r, p, 0] = mu_p, w * mu_p
+    # coef[r, p, k] = w_p mu_p^{k+1} b_k by products alone (no pow, whose vector
+    # forms may round differently by CPU); exactly w_p mu_p for b = (1,)
+    for k in range(1, n_c):
+        coef[:, :, k] = coef[:, :, k - 1] * mu
+    coef *= np.array([polys[i] + (0.0,) * (n_c - len(polys[i])) for i in filled])[:, None, :]
     two_mu = 2.0 * mu[:, :1]
+    u_max = cosh_cutoff(two_mu[:, 0], np.array([_f_target(m, cfg) for m in mu[:, 0].tolist()]))
     tau = sigma - 0.5
     scale = 2.0 ** (-tau)
 
     def integrand(u, rows):
         c = libm(math.cosh, u)
         e = libm(math.exp, -(two_mu[rows] * c))
-        a, m = coef[rows], mu[rows]
+        a = coef[rows]
         acc = np.zeros_like(c)
         for p in range(n_terms - 1, -1, -1):
+            poly = a[:, p, n_c - 1, None]
+            for k in range(n_c - 2, -1, -1):
+                poly = poly * c + a[:, p, k, None]
             acc *= e
-            acc += a[:, p, None] * _f_poly(deriv, m[:, p, None], c) if deriv else a[:, p, None]
+            acc += poly
         acc *= e
         return scale * acc * libm(math.cosh, tau * u)
 
-    u_max = np.array([_f_cosh_cutoff(mu_1, cfg) for mu_1 in mu[:, 0].tolist()])
     out[filled] = integrate_trapezoid(integrand, u_max,
                                       replace(cfg, quad_abs_tol=RELATIVE_ONLY)).value
     return out
 
 
-def calG(sigma: float, lam, deriv: int = 0, cfg: EvalConfig = DEFAULT_CONFIG):
-    """deriv-th derivative of Gcal_sigma(lam) = sum_{m,n} m^{-sigma-1/2}
-    n^{sigma-3/2} F_sigma(pi m n lam), at a float lam (a float back) or at every
-    element of a 1-d array (an array back, one engine call for all).
+def calG(sigma: float, lam, cfg: EvalConfig = DEFAULT_CONFIG):
+    """Gcal_sigma(lam) = sum_{m,n} m^{-sigma-1/2} n^{sigma-3/2} F_sigma(pi m n lam), at
+    a float lam (a float back) or at every element of a 1-d array (an array back,
+    one engine call for all).
 
     The (m, n) sum collapses over the product p = mn with divisor-sum weights,
     and the remaining p-sum, a polynomial in exp(-2 pi lam cosh u), is folded
@@ -225,7 +240,7 @@ def calG(sigma: float, lam, deriv: int = 0, cfg: EvalConfig = DEFAULT_CONFIG):
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any(lams <= 0.0):
         raise DomainError(f"calG needs lam > 0, got {lam!r}")
-    values = _gcal(sigma, lams, deriv, cfg)
+    values = _gcal(sigma, lams, [_GCAL_ROW] * len(lams), cfg)
     return float(values[0]) if np.ndim(lam) == 0 else values
 
 
@@ -233,23 +248,9 @@ def calH(sigma: float, x, cfg: EvalConfig = DEFAULT_CONFIG):
     """Hcal_sigma(x) = Gcal_sigma(e^x) e^{-x/2}, at a float x or at every element of
     a 1-d array, as `calG`; decays like exp(-2 pi e^x)."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    values = _gcal(sigma, libm(math.exp, xs), 0, cfg) * libm(math.exp, -0.5 * xs)
+    values = _gcal(sigma, libm(math.exp, xs), [_GCAL_ROW] * len(xs), cfg)
+    values *= libm(math.exp, -0.5 * xs)
     return float(values[0]) if np.ndim(x) == 0 else values
-
-
-def calH_derivs_at_0(sigma: float, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
-    """Hcal(0), Hcal'(0) and Hcal'''(0) via the chain rule through Gcal at 1:
-
-        h0 = G(1)
-        h1 = G'(1) - G(1)/2
-        h3 = G'''(1) + (3/2) G''(1) + (1/4) G'(1) - (1/8) G(1)
-    """
-    g = [calG(sigma, 1.0, d, cfg) for d in range(4)]
-    return {
-        "h0": g[0],
-        "h1": g[1] - 0.5 * g[0],
-        "h3": g[3] + 1.5 * g[2] + 0.25 * g[1] - 0.125 * g[0],
-    }
 
 
 def W_sigma(sigma: float, x: float, form: str = "closed",
@@ -456,9 +457,12 @@ def _st_method_A(sigma: float, cfg: EvalConfig, paper_truncation: bool):
 def _st_method_B(sigma: float, cfg: EvalConfig, paper_truncation: bool):
     """F-series route.
 
-    With lam_p = pi p the product sums sum_p sigma_{2s-1}(p) p^{-s-1/2} lam_p^d
-    F^{(d)}(lam_p) are Gcal^{(d)}(1), so the converged mode reads Hcal's
-    derivatives at 0: T = pref h1 and S = pref ((s^2 + (1-s)^2) h1 - h3).
+    T = pref h1 and S = pref (q h1 - h3), q = s^2 + (1-s)^2, from Hcal's derivatives
+    at 0: by the chain rule h1 = G' - G/2 and h3 = G^(3) + 3/2 G'' + G'/4 - G/8,
+    with G = Gcal at 1.  As d/dlam F(mu lam) = mu F'(mu lam), each is one Gcal-type
+    sum (`_gcal`) whose product p carries sum_k b_k mu_p^{k+1} c^k, with mu_p = pi p
+    and c = cosh u: b = (1/2, -2) for h1 and b = (q/2 - 1/8, 13/2 - 2q, -18, 8)
+    for q h1 - h3.  The converged mode is these two rows in one engine call.
     Fixed-truncation mode follows the published recipe bit-faithfully: the
     literal double sum m, n <= 10 with every F-integral forced onto [0.001, 20]
     (no substitution, no adaptivity past the bounds), each of the 42 distinct
@@ -481,10 +485,10 @@ def _st_method_B(sigma: float, cfg: EvalConfig, paper_truncation: bool):
                 t_sum += w * t_part
         trunc = {"double_sum_cap": 10, "f_integral_bounds": [0.001, 20.0]}
     else:
-        h = calH_derivs_at_0(s, cfg)
-        t_sum = h["h1"]
-        s_sum = (s * s + (1.0 - s) ** 2) * h["h1"] - h["h3"]
-        trunc = {"product_sum_terms": len(_g_weights(s, 1.0, 0, cfg)),
+        q = s * s + (1.0 - s) ** 2
+        s_sum, t_sum = _gcal(s, np.ones(2), [(0.5 * q - 0.125, 6.5 - 2.0 * q, -18.0, 8.0),
+                                             (0.5, -2.0)], cfg).tolist()
+        trunc = {"product_sum_terms": len(_g_weights(s, 1.0, cfg)),
                  "f_integral_bounds": "trapezoid"}
 
     pref = 2.0 ** (s + 1.5) / math.pi

@@ -24,6 +24,10 @@ vector instructions nor on the rows beside it:
   integrate_eta_weighted    int_1^inf g(y) eta_tau(y) dy via y = cosh(u), which
                             removes the (y-1)^{-1/2} endpoint singularity, by
                             integrate_trapezoid, one row per integral
+  cosh_cutoff               the cutoff of every cosh-substituted integral (Gcal,
+                            F_sigma, the eta-weighted rows): the closed form
+                            acosh(1 + target/rate) + 0.25, each caller with
+                            its own target
 
 All engines report value, error estimate and evaluation count.  Each takes its
 targets from the caller's config alone; a caller that wants relative
@@ -197,31 +201,13 @@ def integrate_finite(
     return result
 
 
-def eta_cosh_cutoff(tau: float, decay_rate, cfg: EvalConfig, scale: float = 1.0):
-    """Upper limit U for the cosh-substituted weight integral, for a float
-    decay_rate (a float back) or for each of an array of them (an array back).
-
-    Solves decay_rate*(cosh U - 1) - |tau| U = log(20*max(scale,1)/quad_abs_tol),
-    the point where the transformed integrand bound drops below tolerance, by
-    bisection on [1e-3, 40] to a bracket below 1e-3, every rate on its own.
-    """
-    target = math.log(20.0 * max(scale, 1.0) / cfg.quad_abs_tol)
-    rates = np.atleast_1d(np.asarray(decay_rate, dtype=float))
-
-    def g(u, i):
-        return rates[i] * (libm(math.cosh, u) - 1.0) - abs(tau) * u - target
-
-    lo, hi = np.full(rates.shape, 1e-3), np.full(rates.shape, 40.0)
-    live = np.arange(rates.size)
-    live = live[~(g(hi, live) < 0.0)]    # a rate with g(40) < 0 keeps the cutoff 40
-    for _ in range(200):
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        below = g(mid, live) < 0.0
-        lo[live[below]], hi[live[~below]] = mid[below], mid[~below]
-        live = live[~(hi[live] - lo[live] < 1e-3)]
-    return float(hi[0]) if np.ndim(decay_rate) == 0 else hi
+def cosh_cutoff(rate, target):
+    """The u past which exp(-rate (cosh u - 1)) is below exp(-target):
+    acosh(1 + target/rate) from libm, plus 0.25, the margin that covers the
+    integrand's slower factors.  For a float rate (a float back) or for each of an
+    array of them (an array back, each element with the bits of its float call)."""
+    u = libm(math.acosh, 1.0 + target / np.asarray(rate, dtype=float)) + 0.25
+    return float(u) if np.ndim(u) == 0 else u
 
 
 def integrate_eta_weighted(
@@ -238,12 +224,15 @@ def integrate_eta_weighted(
 
     by `integrate_trapezoid`: the integrand is even in u, and analytic where g
     is.  `decay_rate` bounds g as |g(y)| <= scale*exp(-decay_rate*y), which sets
-    the cutoff (`eta_cosh_cutoff`).  An array of decay rates makes a batch, one
-    row (one integral) each, in one engine call.  g(y, rows) maps an (r, n) array
-    of y to the (r, n) array of values, `rows` holding the batch indices of its r
-    rows, as in `integrate_trapezoid`; a batch gives arrays back.
+    the cutoff: `cosh_cutoff` at the target log(20*max(scale,1)/quad_abs_tol), past
+    which the transformed integrand's bound exp(-decay_rate (cosh u - 1) + |tau| u)
+    is below exp(-target) for every decay_rate >= 2 pi and |tau| <= 1/2.  An array
+    of decay rates makes a batch, one row (one integral) each, in one engine call.
+    g(y, rows) maps an (r, n) array of y to the (r, n) array of values, `rows`
+    holding the batch indices of its r rows, as in `integrate_trapezoid`; a batch
+    gives arrays back.
     """
-    u_max = eta_cosh_cutoff(tau, decay_rate, cfg, scale)
+    u_max = cosh_cutoff(decay_rate, math.log(20.0 * max(scale, 1.0) / cfg.quad_abs_tol))
 
     def integrand(u, rows):
         return g(libm(math.cosh, u), rows) * 2.0 * libm(math.cosh, tau * u)

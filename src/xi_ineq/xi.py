@@ -102,10 +102,10 @@ def density_P(sigma: float, y: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float
 
 def _g(sigma: float, x, cfg: EvalConfig = DEFAULT_CONFIG):
     """g(x) = H(e^x) e^{(1-sigma)x}, which equals H(e^{-x}) e^{-sigma x} by
-    H(1/w) = w H(w): the density_P numerator, analytic in |Im x| < pi/4.  At a
-    float x (a float back) or at every element of an array x (an array back, each
-    element with the bits of its float call): there g is exactly 0.0 past
-    _H_LOG_CUT, and the rest is one array `theta_H` call."""
+    H(1/w) = w H(w): the density_P numerator, analytic in |Im x| < pi/4, and
+    exactly 0.0 past _H_LOG_CUT.  At a float x (a float back) or at every element of
+    an array x (an array back, each element with the bits of its float call, the
+    elements inside the cut valued by one array `theta_H` call)."""
     if isinstance(x, np.ndarray):
         out = np.zeros_like(x)
         on = np.abs(x) <= _H_LOG_CUT
@@ -113,6 +113,8 @@ def _g(sigma: float, x, cfg: EvalConfig = DEFAULT_CONFIG):
         twist = np.where(x <= 0.0, -sigma * x, (1.0 - sigma) * x)
         out[on] = theta_H(libm(math.exp, np.abs(x)), cfg) * libm(math.exp, twist)
         return out
+    if abs(x) > _H_LOG_CUT:
+        return 0.0
     if x <= 0.0:
         return theta_H(math.exp(-x), cfg) * math.exp(-sigma * x)
     return theta_H(math.exp(x), cfg) * math.exp((1.0 - sigma) * x)

@@ -74,6 +74,19 @@ def s_reference(sigma: float) -> float:
     return two_xi_sq - sigma ** 2 * (1.0 - sigma) ** 2 * w_moment_reference(sigma)
 
 
+def _gcal_reference(s, lam, term):
+    """sum_p sigma_{2s-1}(p) p^{-s-1/2} term(pi p lam), summed in mpmath until a
+    term is below 1e-25 of the sum in modulus."""
+    total, p = mp.mpf(0), 1
+    while True:
+        divisors = sum(mp.mpf(d) ** (2 * s - 1) for d in range(1, p + 1) if p % d == 0)
+        value = divisors * mp.mpf(p) ** (-s - 0.5) * term(mp.pi * p * lam)
+        total += value
+        if abs(value) < mp.mpf(10) ** -25 * abs(total):
+            return total
+        p += 1
+
+
 def w_exp_reference(sigma: float, x: float) -> float:
     """W_sigma(x) e^{-sigma x} = 2^{sigma+3/2} pi^{-1} Gcal_sigma(e^x) e^{-x/2} from
     F's Bessel form F_sigma(lam) = 2^{1/2-sigma} lam K_{sigma-1/2}(2 lam), mpmath
@@ -81,13 +94,19 @@ def w_exp_reference(sigma: float, x: float) -> float:
     until a term is below 1e-25 of the sum."""
     with mp.workdps(25):
         s, lam = mp.mpf(sigma), mp.exp(x)
-        total, p = mp.mpf(0), 1
-        while True:
-            divisors = sum(mp.mpf(d) ** (2 * s - 1) for d in range(1, p + 1) if p % d == 0)
-            mu = mp.pi * p * lam
-            term = divisors * mp.mpf(p) ** (-s - 0.5) * mu * mp.besselk(s - 0.5, 2 * mu)
-            total += term
-            if term < mp.mpf(10) ** -25 * total:
-                break
-            p += 1
+        total = _gcal_reference(s, lam, lambda mu: mu * mp.besselk(s - 0.5, 2 * mu))
         return float(2 ** (s + 1.5) / mp.pi * 2 ** (0.5 - s) * total * mp.exp(-x / 2))
+
+
+def t_reference(sigma: float) -> float:
+    """T_sigma = 2^{sigma+3/2} pi^{-1} Hcal_sigma'(0) from F's Bessel form, as
+    `w_exp_reference` builds Hcal, mpmath only.  Hcal(x) = Gcal(e^x) e^{-x/2} gives
+    Hcal'(0) = sum_p sigma_{2 sigma-1}(p) p^{-sigma-1/2} (mu F'(mu) - F(mu)/2) at
+    mu = pi p, and with nu = sigma - 1/2 and K_nu'(z) = -K_{nu-1}(z) - (nu/z) K_nu(z),
+    mu F'(mu) - F(mu)/2 = 2^{-nu} ((1 - sigma) mu K_nu(2 mu) - 2 mu^2 K_{nu-1}(2 mu))."""
+    with mp.workdps(25):
+        s = mp.mpf(sigma)
+        nu = s - 0.5
+        total = _gcal_reference(s, mp.mpf(1), lambda mu: (1 - s) * mu * mp.besselk(nu, 2 * mu)
+                                - 2 * mu * mu * mp.besselk(nu - 1, 2 * mu))
+        return float(2 ** (s + 1.5) / mp.pi * 2 ** (-nu) * total)

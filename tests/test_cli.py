@@ -276,12 +276,13 @@ class TestCommands:
     @pytest.mark.parametrize("method", ["B_series", "all"])
     def test_route_b_outside_the_strip_runs_without_the_w_table(self, capsys, method):
         # the W table certifies only up to sigma about 7.75; route B has no such
-        # limit, and its values at sigma = 8 are the ones it gave standalone
+        # limit.  Its S at sigma = 8 moved by 1.2e-15 relative when route B became
+        # one two-row Gcal sum, and stayed 2.4e-12 from the mpmath t = 0 identity
         _w_table.cache_clear()
         code, out = run_cli(capsys, "constants", "--sigma", "8", "--method", method)
         assert code == 0
         row = next(r for r in json.loads(out)["outputs"]["rows"] if r["method"] == "B_series")
-        assert (row["S"], row["T"]) == (-51.61787530813468, -1.8024837230142985)
+        assert (row["S"], row["T"]) == (-51.61787530813474, -1.8024837230142985)
         assert _w_table.cache_info().misses == 0
 
     def test_montecarlo_computes_each_transform_once(self, capsys, monkeypatch):
@@ -364,6 +365,22 @@ class TestCommands:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "numerical failure" in err and "at t=" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--sigma", "200"],
+        ["constants", "--sigma", "1e3", "--method", "A_direct"],
+        ["constants", "--sigma", "1e3", "--method", "C_inversion"],
+        ["coeffs", "--sigma", "1e3"],
+    ])
+    def test_overflow_inside_a_route_exits_2(self, capsys, argv):
+        # a float power past the double range (the divisor sums of Gcal and J, the
+        # R-integrands of routes A and C): one line on stderr, as
+        # `constants --sigma 50` fails, not a traceback
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "numerical failure" in err
 
     def test_coeffs_overflowing_t_check_is_usage_error(self, capsys, monkeypatch):
         # 100 ** 170 overflows a double: one line on stderr, exit 3, no coefficient

@@ -238,7 +238,7 @@ class TestSampler:
 
     def test_w_table_evaluates_hcal_at_most_121_times(self, cfg, monkeypatch):
         # 64 Chebyshev nodes plus 57 certification probes, the rows of one Hcal
-        # call; S and T add route B's four Gcal derivatives at 1
+        # call; S and T are route B's two-row Gcal-type sum, no calG call
         hcal, gcal = [], []
         for name, calls in (("calH", hcal), ("calG", gcal)):
             def counted(*args, _f=getattr(modulus, name), _calls=calls, **kwargs):
@@ -249,7 +249,7 @@ class TestSampler:
         _w_table(0.75, cfg)
         assert len(hcal) == 1 and 0 < np.size(hcal[0][1]) <= 121
         assert (hcal[0][0], hcal[0][2]) == (0.75, cfg)   # Hcal is Gcal itself, no derivative
-        assert gcal == [(0.75, 1.0, d, cfg) for d in range(4)]
+        assert gcal == []
 
     def test_w_table_shared_whatever_the_call_form(self, cfg):
         _w_table.cache_clear()

@@ -11,12 +11,19 @@ mpmath's Bessel-K.  Gcal(1) at sigma 0.75, the W masses and the transform moved
 again when Gcal's product sum became a Horner polynomial in
 exp(-2 pi lam cosh u), one exp per abscissa: Gcal(1) by one ulp, to 3.2e-16
 relative of mpmath (1.5e-16 before), the transform at t = 5 to 4.5e-17
-(1.9e-16 before).  The S/T pins are the
+(1.9e-16 before).  Gcal'(1) at sigma 0.75 was pinned as calG's first
+derivative; it is now the `_gcal` row b = (1, -2), the Gcal-type sum that route
+B's h1 row (1/2, -2) = Gcal'(1) - Gcal(1)/2 builds on, and keeps its bits.
+The S/T pins are the
 values of routes A and C (both modes) and of route B's fixed-truncation recipe
 as their integrals were first written out term by term, one route per
 function; sharing code between the routes must not move them.  The J/eta
 pins are `modulus_rhs_via_J` and two masses of its node table (`_jeta_table`:
-the largest, and the one at the middle node) as the table first gave them.
+the largest, and the one at the middle node) as the table first gave them.  They
+were re-recorded when the eta-weighted integrals' cutoff became the closed form
+acosh(1 + target/rate) + 0.25 instead of a bisection: against mpmath,
+`modulus_rhs_via_J` went from 1.09e-15 to 3.6e-16 relative, mass 14 from 7.3e-16
+to 2.9e-16 and mass 64 from 6.9e-16 to 3.4e-16.
 The rule pins are the SHA-256 digests of the W table's rule arrays and of its
 masses at sigma 0.75, and one fixed-rule transform, as each was first written
 out inside `modulus`; moving the rule into `quadrature` must not move them.
@@ -38,11 +45,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from xi_ineq import modulus, theta
+from xi_ineq.config import DEFAULT_CONFIG
 from xi_ineq.xi import xi
-from xi_ineq.modulus import S_T_constants, _jeta_table, calG, modulus_rhs_via_J
+from xi_ineq.modulus import (_GCAL_ROW, S_T_constants, _gcal, _jeta_table, calG,
+                              modulus_rhs_via_J)
 
 # y = 0.05 takes a few hundred terms; y = 3 stops at the floor
 BITS_J = {   # (tau, y, deriv)
@@ -79,14 +89,16 @@ BITS_THETA = {   # (function, y)
     ('theta_R_prime', 1.6): '-0x1.a7a62ce9cbbc1p-8',
     ('theta_H', 1.6): '0x1.152be59fbc5d1p-3',
 }
-BITS_CALG = {   # (sigma, lam, deriv)
-    (0.75, 1.0, 0): '0x1.3fb640a67e3ecp-9',
-    (0.75, 1.0, 1): '-0x1.ce8e9cf981d56p-7',
-    (0.75, 1.0, 2): '0x1.4a70d1de10b25p-4',
-    (0.75, 1.0, 3): '-0x1.d105202446093p-2',
-    (0.6, 0.4, 0): '0x1.4c5f373c4caacp-4',
-    (0.9, 2.5, 0): '0x1.2fbb25ab8b42cp-22',
+BITS_CALG = {   # (sigma, lam, b): the Gcal-type sum `_gcal` with row b, b = (1,) Gcal
+    (0.75, 1.0, (1.0,)): '0x1.3fb640a67e3ecp-9',
+    (0.75, 1.0, (1.0, -2.0)): '-0x1.ce8e9cf981d56p-7',   # Gcal'(1)
+    (0.6, 0.4, (1.0,)): '0x1.4c5f373c4caacp-4',
+    (0.9, 2.5, (1.0,)): '0x1.2fbb25ab8b42cp-22',
 }
+# the pins' ids as first numbered, when Gcal's 2nd and 3rd derivatives at 1
+# (key3, key4) were pinned too
+CALG_IDS = {(0.6, 0.4, (1.0,)): 'key0', (0.75, 1.0, (1.0,)): 'key1',
+            (0.75, 1.0, (1.0, -2.0)): 'key2', (0.9, 2.5, (1.0,)): 'key5'}
 BITS_ST = {   # (method, sigma, paper_truncation): (S, T, err_est)
     ('A_direct', 0.75, False):
         ('0x1.fb90c8c544e54p-2', '-0x1.7c71eca7867c3p-6', '0x1.acb469ebbf75bp-48'),
@@ -105,9 +117,9 @@ BITS_ST = {   # (method, sigma, paper_truncation): (S, T, err_est)
 }
 
 BITS_J_ROUTE = {   # modulus_rhs_via_J(0.25, 5.0) and _jeta_table(0.25).masses[i]
-    'modulus_rhs_via_J': '0x1.38078018067d4p-3',
-    14: '0x1.8520257155693p-16',
-    64: '0x1.49e037b0470c5p-35',
+    'modulus_rhs_via_J': '0x1.38078018067d8p-3',
+    14: '0x1.8520257155690p-16',
+    64: '0x1.49e037b0470bfp-35',
 }
 
 BITS_RULE = {   # SHA-256 of the arrays' bytes
@@ -139,9 +151,14 @@ def test_theta_bits(key):
     assert getattr(theta, name)(y).hex() == BITS_THETA[key]
 
 
-@pytest.mark.parametrize("key", sorted(BITS_CALG))
+@pytest.mark.parametrize("key", sorted(BITS_CALG), ids=CALG_IDS.get)
 def test_calG_bits(key):
-    assert calG(*key).hex() == BITS_CALG[key]
+    sigma, lam, row = key
+    if row == _GCAL_ROW:
+        value = calG(sigma, lam)
+    else:
+        value = float(_gcal(sigma, np.array([lam]), [row], DEFAULT_CONFIG)[0])
+    assert value.hex() == BITS_CALG[key]
 
 
 @pytest.mark.parametrize("key", sorted(BITS_ST))

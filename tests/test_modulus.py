@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from conftest import s_reference, w_exp_reference, w_moment_reference, xi_mod_sq_reference
+from conftest import (s_reference, t_reference, w_exp_reference, w_moment_reference,
+                      xi_mod_sq_reference)
 from xi_ineq import modulus, quadrature
 from xi_ineq.config import EvalConfig
 from xi_ineq.errors import ConvergenceError, DomainError, EvaluationError
-from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _PROBES, _X, _jeta_table,
-                             _scaled_moments, _w_table, a_coeff, c_coeff, calG, calH, calH_derivs_at_0,
+from xi_ineq.modulus import (F_sigma, S_T_constants, W_sigma, _PROBES, _X, _gcal, _jeta_table,
+                             _scaled_moments, _w_table, a_coeff, c_coeff, calG, calH,
                              constants, modulus_rhs, modulus_rhs_via_J,
                              power_series_coeffs, w_cos_fixed, w_cos_transform)
 from xi_ineq.quadrature import integrate_finite
@@ -50,42 +51,49 @@ class TestF:
 
 class TestCalG:
     def test_positive(self, cfg):
-        assert calG(0.75, 1.0, 0, cfg) > 0.0
+        assert calG(0.75, 1.0, cfg) > 0.0
 
     def test_equals_raw_double_sum(self, cfg):
-        got = calG(0.75, 1.0, 0, cfg)
+        got = calG(0.75, 1.0, cfg)
         want = sum(m ** -1.25 * n ** -0.75
                    * F_sigma(0.75, math.pi * m * n, 0, "direct", cfg)
                    for m in range(1, 9) for n in range(1, 9))
         assert abs(got - want) <= 1e-11 * abs(got)
 
     def test_first_product_dominates_at_3(self, cfg):
-        total = calG(0.75, 3.0, 0, cfg)
+        total = calG(0.75, 3.0, cfg)
         first = F_sigma(0.75, 3.0 * math.pi, 0, "direct", cfg)
         assert abs(total - first) <= 1e-3 * abs(total)
 
     def test_chain_rule_derivative(self, cfg):
+        # Gcal'(1) is the Gcal-type row b = (1, -2): d/dlam of mu e^{-2 mu c} at
+        # lam = 1 is mu - 2 mu^2 c
         h = 1e-6
-        fd = (calG(0.75, 1.0 + h, 0, cfg) - calG(0.75, 1.0 - h, 0, cfg)) / (2.0 * h)
-        assert abs(calG(0.75, 1.0, 1, cfg) - fd) <= 1e-6 * abs(fd)
+        fd = (calG(0.75, 1.0 + h, cfg) - calG(0.75, 1.0 - h, cfg)) / (2.0 * h)
+        got = _gcal(0.75, np.ones(1), [(1.0, -2.0)], cfg)[0]
+        assert abs(got - fd) <= 1e-6 * abs(fd)
 
 
 class TestCalHDerivs:
+    # Hcal's derivatives at 0 as Gcal-type rows at 1, by the chain rule:
+    # h1 = G' - G/2 and h3 = G''' + 3/2 G'' + G'/4 - G/8
+    ROWS = [(0.5, -2.0), (0.125, -6.5, 18.0, -8.0)]
+
     def test_h1_matches_finite_difference(self, cfg):
-        d = calH_derivs_at_0(0.75, cfg)
+        h1 = _gcal(0.75, np.ones(1), self.ROWS[:1], cfg)[0]
         h = 1e-5
         fd = (calH(0.75, h, cfg) - calH(0.75, -h, cfg)) / (2.0 * h)
-        assert abs(d["h1"] - fd) <= 1e-8 * abs(fd) + 10.0 * h * h
+        assert abs(h1 - fd) <= 1e-8 * abs(fd) + 10.0 * h * h
 
     def test_identities_deliver_constants(self, cfg):
         # route B reads these identities itself; route A's R-integrals are independent
         for sigma in (0.6, 0.75, 0.9):
-            d = calH_derivs_at_0(sigma, cfg)
+            h1, h3 = _gcal(sigma, np.ones(2), self.ROWS, cfg).tolist()
             pref = 2.0 ** (sigma + 1.5) / math.pi
             rep = S_T_constants(sigma, "A_direct", cfg)
             s_val, t_val = rep.s_value, rep.t_value
-            assert pref * d["h1"] == pytest.approx(t_val, rel=1e-6)
-            s_from_h = pref * ((sigma ** 2 + (1 - sigma) ** 2) * d["h1"] - d["h3"])
+            assert pref * h1 == pytest.approx(t_val, rel=1e-6)
+            s_from_h = pref * ((sigma ** 2 + (1 - sigma) ** 2) * h1 - h3)
             assert s_from_h == pytest.approx(s_val, rel=1e-6)
 
 
@@ -157,21 +165,31 @@ class TestConstants:
             w_moment_reference(0.75), rel=1e-10)
 
     def test_series_route_reads_four_gcal_derivatives(self, cfg, monkeypatch):
-        # converged route B is Hcal's derivatives at 0: Gcal and its first three
-        # derivatives at 1, and no F-integral of its own.  It runs inside the W
-        # table's build, whose node and probe values are Gcal calls at e^x != 1
-        calls = []
-        for name in ("calG", "F_sigma"):
-            def counted(*args, _name=name, _f=getattr(modulus, name), **kwargs):
-                if _name == "F_sigma" or args[1] == 1.0:
-                    calls.append((_name, args))
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(modulus, name, counted)
+        # converged route B is Hcal's derivatives at 0, which combine Gcal and its
+        # first three derivatives at 1 into one two-row Gcal-type sum: the W table's
+        # build is one 121-row engine call (its nodes and probes) and then route B's
+        # one 2-row call, and route B runs no F-integral of its own
+        rows, f_calls = [], []
+        engine = modulus.integrate_trapezoid
+
+        def counted(f, u_max, engine_cfg):
+            rows.append(np.size(u_max))
+            return engine(f, u_max, engine_cfg)
+        monkeypatch.setattr(modulus, "integrate_trapezoid", counted)
+        monkeypatch.setattr(modulus, "F_sigma", lambda *args, **kwargs: f_calls.append(args))
         _w_table.cache_clear()
         rep = S_T_constants(0.75, "B_series", cfg)
-        assert calls == [("calG", (0.75, 1.0, d, cfg)) for d in range(4)]
+        assert rows == [121, 2] and f_calls == []
         ref = s_reference(0.75)
         assert abs(rep.s_value - ref) <= 1e-15 * ref
+        rows.clear()
+        S_T_constants(8.0, "B_series", cfg)    # outside the strip, without the table
+        assert rows == [2]
+
+    @pytest.mark.parametrize("sigma", [0.6, 0.75, 0.9])
+    def test_series_route_t_matches_the_bessel_reference(self, cfg, sigma):
+        ref = t_reference(sigma)
+        assert abs(S_T_constants(sigma, "B_series", cfg).t_value - ref) <= 1e-15 * abs(ref)
 
     def test_series_route_cap_raises(self):
         # Gcal at 1 needs 7 products; a cap of 4 must not pass as converged
@@ -224,7 +242,7 @@ class TestWTable:
     def test_tables_run_no_adaptive_quadrature(self, cfg, monkeypatch):
         # every Gcal value and eta-weighted integral of the two tables is one
         # trapezoid row: W's 64 nodes and 57 probes are the rows of one engine
-        # call, and route B's four derivatives at 1 one call each; J's 128 nodes
+        # call, and route B's S and T the two rows of another; J's 128 nodes
         # are one call, and the J/eta route's two integrals one call each
         calls = []
         for module in (modulus, quadrature):
@@ -235,7 +253,7 @@ class TestWTable:
                 monkeypatch.setattr(module, name, counted)
         _w_table.cache_clear()
         _w_table(0.75, cfg)
-        assert calls == ["integrate_trapezoid"] * (1 + 4)
+        assert calls == ["integrate_trapezoid"] * 2
         calls.clear()
         _jeta_table.cache_clear()
         _jeta_table(0.25, cfg)
@@ -276,14 +294,11 @@ class TestWTable:
         _w_table.cache_clear()
         _w_table(0.75, cfg)
         # one calH call with the 121 points as rows, and one engine call under it
-        # (its second argument, u_max, has one entry a row); route B's four
-        # derivatives at 1 are one-row calG calls, one engine call each
+        # (its second argument, u_max, has one entry a row); route B is one
+        # two-row engine call of its own, with no calG call
         assert len(_X) + len(_PROBES) == 64 + 57
-        assert calls.count(("calH", 64 + 57)) == 1
-        assert calls.count(("calG", 1)) == 4
-        assert calls.count(("integrate_trapezoid", 64 + 57)) == 1
-        assert calls.count(("integrate_trapezoid", 1)) == 4
-        assert len(calls) == 1 + 4 + 1 + 4
+        assert calls == [("calH", 64 + 57), ("integrate_trapezoid", 64 + 57),
+                         ("integrate_trapezoid", 2)]
 
     def test_rows_equal_one_row_hcal_calls(self, cfg):
         # the batched call gives each node and probe the bits of its own call
@@ -292,14 +307,14 @@ class TestWTable:
         assert batch.tolist() == [calH(0.75, float(x), cfg) for x in points]
         pref = 2.0 ** (0.75 + 1.5) / math.pi
         assert np.array_equal(_w_table(0.75, cfg).values, pref * batch[:len(_X)])
-        assert calG(0.75, np.array([1.0, 120.0, 2.5]), 0, cfg).tolist() == [
-            calG(0.75, 1.0, 0, cfg), 0.0, calG(0.75, 2.5, 0, cfg)]   # 2 pi 120 underflows
+        assert calG(0.75, np.array([1.0, 120.0, 2.5]), cfg).tolist() == [
+            calG(0.75, 1.0, cfg), 0.0, calG(0.75, 2.5, cfg)]   # 2 pi 120 underflows
 
     def test_tables_make_a_handful_of_integrand_calls(self, cfg, monkeypatch):
         # one Python-level integrand call per level of a batch: the 121 W rows
-        # settle at 33 points (levels of 9, 8 and 16 new points), route B's four
-        # one-row sums likewise; the J nodes settle at 17 or 33 points, lin and
-        # cub at 33.  One value a call made 4,125 and 2,642 integrand calls.
+        # settle at 33 points (levels of 9, 8 and 16 new points), route B's two
+        # rows likewise; the J nodes settle at 17 or 33 points, lin and cub at 33.
+        # One value a call made 4,125 and 2,642 integrand calls.
         calls = []
         engine = quadrature.integrate_trapezoid
 
@@ -315,12 +330,12 @@ class TestWTable:
         monkeypatch.setattr(quadrature, "integrate_trapezoid", counted)
         _w_table.cache_clear()
         _w_table(0.75, cfg)
-        assert calls == [[121, 3, 121 * 33]] + [[1, 3, 33]] * 4
+        assert calls == [[121, 3, 121 * 33], [2, 3, 2 * 33]]
         calls.clear()
         _jeta_table.cache_clear()
         _jeta_table(0.25, cfg)
         assert [c[:2] for c in calls] == [[128, 3], [1, 3], [1, 3]]
-        assert sum(c[2] for c in calls) == 2642
+        assert sum(c[2] for c in calls) == 2882
 
     def test_route_b_record_is_the_whole_report(self, cfg):
         _w_table.cache_clear()

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
+from xi_ineq import quadrature
 from xi_ineq.config import DEFAULT_CONFIG, EvalConfig, config_cache, config_from_mapping
 from xi_ineq.errors import ConvergenceError, EvaluationError
+from xi_ineq.modulus import _XT
 from xi_ineq.quadrature import (TRAPEZOID_HALVINGS, barycentric, chebyshev_fejer,
-                                eta_cosh_cutoff, integrate_eta_weighted, integrate_finite,
+                                cosh_cutoff, integrate_eta_weighted, integrate_finite,
                                 integrate_trapezoid, libm)
 
 
@@ -142,10 +144,27 @@ class TestEtaWeighted:
                                       decay_rate=3.0)
         assert abs(five.value - 5.0 * one.value) <= 1e-13 * abs(five.value) + 1e-15
 
-    def test_cutoffs_of_an_array_equal_the_float_calls(self, cfg):
+    def test_cutoffs_of_an_array_equal_the_float_calls(self):
         rates = np.array([1e-3, 1.0, 2.0 * math.pi, 70.0])
-        assert eta_cosh_cutoff(0.25, rates, cfg, 30.0).tolist() == [
-            eta_cosh_cutoff(0.25, r, cfg, 30.0) for r in rates.tolist()]
+        assert cosh_cutoff(rates, 12.5).tolist() == [cosh_cutoff(r, 12.5) for r in rates.tolist()]
+
+    @pytest.mark.parametrize("tau", [-0.45, 0.0, 0.45])
+    @pytest.mark.parametrize("abs_tol", [DEFAULT_CONFIG.quad_abs_tol, 1e-3, 1e-14])
+    def test_cutoff_clears_the_integrand_bound(self, monkeypatch, tau, abs_tol):
+        # past its cutoff U the transformed integrand is at most
+        # scale exp(-rate (cosh U - 1) + |tau| U), which must be below the target there:
+        # for the J table's 128 rates 2 pi e^{x_i} at scale 1, and for the 2 pi of its
+        # lin and cub integrals at scales 30 and 2e4
+        cutoffs = []
+        monkeypatch.setattr(quadrature, "integrate_trapezoid",
+                            lambda f, u_max, cfg: cutoffs.append(np.asarray(u_max)))
+        cfg = replace(DEFAULT_CONFIG, quad_abs_tol=abs_tol)
+        for rate, scale in ((2.0 * math.pi * libm(math.exp, _XT), 1.0),
+                            (2.0 * math.pi, 30.0), (2.0 * math.pi, 2e4)):
+            integrate_eta_weighted(None, tau, cfg, decay_rate=rate, scale=scale)
+            u = cutoffs.pop()
+            target = math.log(20.0 * scale / abs_tol)
+            assert np.all(rate * (libm(math.cosh, u) - 1.0) - abs(tau) * u >= target)
 
     def test_symmetry_in_tau(self, cfg):
         g = lambda y, rows: np.exp(-2.0 * y)

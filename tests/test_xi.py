@@ -138,6 +138,12 @@ class TestDensityP:
             y = -10.0 + 0.25 * k
             assert density_P(0.75, y, cfg) >= 0.0
 
+    @pytest.mark.parametrize("y", [-710.0, 710.0, 1e300])
+    def test_zero_far_out_as_the_array_form(self, cfg, y):
+        # e^{|y|} overflows a double from |y| about 709.8; g is 0.0 long before
+        assert density_P(0.75, y, cfg) == 0.0
+        assert _g(0.75, np.array([y]), cfg).tolist() == [0.0]
+
 
 class TestUSigma:
     @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.9])
